@@ -189,8 +189,14 @@ class _ExprParser:
                 if den_tok[0] != "int":
                     raise ParseError("denominator must be an integer literal",
                                      self.line, den_tok[2])
-                return Polynomial.constant(
-                    Fraction(numerator, int(den_tok[1])), self.nvars, self.field)
+                try:
+                    return Polynomial.constant(
+                        Fraction(numerator, int(den_tok[1])), self.nvars,
+                        self.field)
+                except ZeroDivisionError:
+                    raise ParseError(
+                        f"denominator {den_tok[1]} is zero in {self.field!r}",
+                        self.line, den_tok[2]) from None
             return Polynomial.constant(numerator, self.nvars, self.field)
         if tok[0] == "name":
             m = re.fullmatch(r"y(\d+)", tok[1])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 #: Degree of the zero polynomial.
@@ -25,18 +26,35 @@ MINUS_INFINITY = float("-inf")
 Monomial = tuple
 
 
+#: Moduli are refused from this bound on: below it, Miller-Rabin with the
+#: thirteen primes 2 .. 41 as bases decides primality exactly.
+MAX_MODULUS = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for ``p < MAX_MODULUS``."""
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} is not below the cap {MAX_MODULUS}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -162,9 +180,6 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return pow(a, -1, self.p)
 
-    def elements(self):
-        return range(self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -209,6 +224,19 @@ def grevlex_key(m: Monomial):
 
 def lex_key(m: Monomial):
     return tuple(m)
+
+
+# Descending keys: smaller key = larger monomial, so a min-heap of
+# ``(desc_key(m), m)`` pops monomials in decreasing order.
+
+def grevlex_desc_key(m: Monomial):
+    """Sort key: smaller key = larger monomial under graded reverse lex."""
+    return (-sum(m), m[::-1])
+
+
+def lex_desc_key(m: Monomial):
+    """Sort key: smaller key = larger monomial under lex."""
+    return tuple(-e for e in m)
 
 
 class Polynomial:
@@ -291,11 +319,6 @@ class Polynomial:
         if not self.terms:
             return MINUS_INFINITY
         return max(sum(m) for m in self.terms)
-
-    def degree_in(self, var: int):
-        if not self.terms:
-            return MINUS_INFINITY
-        return max(m[var] for m in self.terms)
 
     def is_homogeneous(self) -> bool:
         """Whether all terms share one total degree (vacuously true for 0)."""
@@ -526,6 +549,62 @@ def coordinate_vector(nvars: int, field: Field) -> tuple:
 # ---------------------------------------------------------------------------
 # Exact division, gcd, lcm.
 
+class TermQueue:
+    """A working term map that gives up its terms largest first.
+
+    Division repeatedly removes the leading term of a working polynomial and
+    subtracts a multiple of a divisor.  A heap of ``(desc_key(m), m)``
+    entries stands in for a rescan of the whole map at every step.  A
+    monomial cancelled after it was queued stays in the heap and is skipped
+    when popped.  Every monomial a subtraction adds is below the leading one
+    just removed, so a popped monomial never returns and that one check is
+    enough.
+    """
+
+    __slots__ = ("terms", "field", "desc_key", "heap")
+
+    def __init__(self, terms: dict, field: Field, desc_key):
+        self.terms = dict(terms)
+        self.field = field
+        self.desc_key = desc_key
+        self.heap = [(desc_key(m), m) for m in self.terms]
+        heapify(self.heap)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def pop_leading(self):
+        """Remove and return the leading ``(monomial, coefficient)``."""
+        terms, heap = self.terms, self.heap
+        while True:
+            m = heappop(heap)[1]
+            if m in terms:
+                return m, terms.pop(m)
+
+    def subtract(self, factor, shift: Monomial, divisor: dict,
+                 lead: Monomial) -> None:
+        """Subtract ``factor * y^shift * g`` for the divisor term map ``g``.
+
+        The term of ``lead``, the leading monomial of ``g``, is skipped: it
+        cancels the leading term the caller has already popped.
+        """
+        terms, heap, desc_key = self.terms, self.heap, self.desc_key
+        field = self.field
+        sub, mul, zero = field.sub, field.mul, field.zero
+        for gm, gc in divisor.items():
+            if gm == lead:
+                continue
+            m = monomial_mul(gm, shift)
+            old = terms.get(m)
+            c = sub(zero if old is None else old, mul(factor, gc))
+            if c == zero:
+                del terms[m]
+            else:
+                terms[m] = c
+                if old is None:
+                    heappush(heap, (desc_key(m), m))
+
+
 def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
     """Quotient ``a / b`` when ``b`` divides ``a`` exactly, else None."""
     if b.is_zero():
@@ -535,22 +614,16 @@ def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         return a
     field = a.field
     blm, blc = b.leading_term()
-    work = dict(a.terms)
+    work = TermQueue(a.terms, field, grevlex_desc_key)
     quotient: dict = {}
     while work:
-        lm = max(work, key=grevlex_key)
+        lm, lc = work.pop_leading()
         if not monomial_divides(blm, lm):
             return None
         shift = monomial_div(lm, blm)
-        factor = field.div(work[lm], blc)
+        factor = field.div(lc, blc)
         quotient[shift] = factor
-        for gm, gc in b.terms.items():
-            m = monomial_mul(gm, shift)
-            c = field.sub(work.get(m, field.zero), field.mul(factor, gc))
-            if c == field.zero:
-                work.pop(m, None)
-            else:
-                work[m] = c
+        work.subtract(factor, shift, b.terms, blm)
     return Polynomial._raw(a.nvars, field, quotient)
 
 

@@ -3,19 +3,27 @@
 The S-pair loop uses the product and chain criteria with the normal
 selection strategy (smallest lcm degree first, ties by index pair), and the
 final basis is inter-reduced and monic, hence canonical for the ideal and
-order.  Radical membership adjoins a fresh last variable ``t`` and tests
-whether 1 lies in ``I + <1 - t*f>``.
+order.  That selection order is kept by a heap of pairs, each keyed once on
+insertion; division likewise takes leading terms from a heap of the working
+polynomial's monomials (`TermQueue`), so every S-polynomial and remainder is
+the one a scan over all pairs or all terms would pick.  Radical membership
+adjoins a fresh last variable ``t`` and tests whether 1 lies in
+``I + <1 - t*f>``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .exactalg import (
     Field,
     Polynomial,
+    TermQueue,
+    grevlex_desc_key,
     grevlex_key,
+    lex_desc_key,
     lex_key,
     monic,
     monomial_degree,
@@ -41,6 +49,11 @@ class MonomialOrder:
     def key(self):
         return grevlex_key if self.kind == "grevlex" else lex_key
 
+    @property
+    def desc_key(self):
+        """Key under which a min-heap pops the largest monomial first."""
+        return grevlex_desc_key if self.kind == "grevlex" else lex_desc_key
+
 
 def _default_order(p: Polynomial) -> MonomialOrder:
     return MonomialOrder(p.nvars)
@@ -57,27 +70,19 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial],
         order = _default_order(f)
     key = order.key
     field = f.field
-    table = [(g, *g.leading_term(key)) for g in divisors if not g.is_zero()]
-    work = dict(f.terms)
+    table = [(*g.leading_term(key), g.terms)
+             for g in divisors if not g.is_zero()]
+    work = TermQueue(f.terms, field, order.desc_key)
     remainder: dict = {}
     while work:
-        lm = max(work, key=key)
-        lc = work[lm]
-        for g, glm, glc in table:
+        lm, lc = work.pop_leading()
+        for glm, glc, gterms in table:
             if monomial_divides(glm, lm):
-                shift = monomial_div(lm, glm)
-                factor = field.div(lc, glc)
-                for gm, gc in g.terms.items():
-                    m = monomial_mul(gm, shift)
-                    c = field.sub(work.get(m, field.zero), field.mul(factor, gc))
-                    if c == field.zero:
-                        work.pop(m, None)
-                    else:
-                        work[m] = c
+                work.subtract(field.div(lc, glc), monomial_div(lm, glm),
+                              gterms, glm)
                 break
         else:
             remainder[lm] = lc
-            del work[lm]
     return Polynomial._raw(f.nvars, field, remainder)
 
 
@@ -143,16 +148,23 @@ def buchberger(generators: Iterable[Polynomial],
         if g not in basis:
             basis.append(g)
             lms.append(g.leading_monomial(key))
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # Pairs wait in a heap ordered by (lcm degree, i, j); ``pairs`` holds
+    # the ones still queued, which the chain criterion asks about.
+    queue = []
+    pairs = set()
 
-    def pair_rank(pair):
-        i, j = pair
-        return (monomial_degree(monomial_lcm(lms[i], lms[j])), i, j)
-
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
+    def add_pair(i, j):
         lcm = monomial_lcm(lms[i], lms[j])
+        heappush(queue, (monomial_degree(lcm), i, j, lcm))
+        pairs.add((i, j))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            add_pair(i, j)
+
+    while queue:
+        _, i, j, lcm = heappop(queue)
+        pairs.discard((i, j))
         if lcm == monomial_mul(lms[i], lms[j]):
             continue  # product criterion: coprime leading monomials
         skip = False
@@ -175,7 +187,8 @@ def buchberger(generators: Iterable[Polynomial],
         basis.append(remainder)
         lms.append(remainder.leading_monomial(key))
         new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        for k in range(new):
+            add_pair(k, new)
 
     # minimalize: drop elements whose leading monomial another one divides
     order_by_lm = sorted(range(len(basis)), key=lambda i: key(lms[i]))

@@ -108,6 +108,22 @@ def test_parse_errors():
                        "q1 = [y1, 0]\nend\n")
     with pytest.raises(ParseError, match="precede"):
         parse_instance("q1 = [y1, 0]\nend\n")
+    with pytest.raises(ParseError, match="denominator 0 is zero") as info:
+        parse_instance("field Q\nn 3\nkind linear-subspace\n"
+                       "q1 = [y1, 1/0*y2, y3]\nend\n")
+    assert (info.value.line, info.value.col) == (4, 13)
+    with pytest.raises(ParseError, match="denominator 5 is zero in GF"):
+        parse_instance("field Fp 5\nn 2\nkind matrix-subspace\n"
+                       "b1 = [[1/5, 0], [0, 1]]\nend\n")
+    with pytest.raises(ParseError, match="cap"):
+        parse_instance("field Fp 3317044064679887385961981\nn 2\n"
+                       "kind linear-subspace\nq1 = [y1, 0]\nend\n")
+    with pytest.raises(ParseError, match="not prime"):
+        parse_instance("field Fp 3825123056546413051\nn 2\n"
+                       "kind linear-subspace\nq1 = [y1, 0]\nend\n")
+    big = parse_instance("field Fp 1000000000000000003\nn 2\n"
+                         "kind linear-subspace\nq1 = [y1, 0]\nend\n")
+    assert big.field == PrimeField(10 ** 18 + 3)
 
 
 def test_parse_polynomial_round_trip():
@@ -249,6 +265,18 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
 
     code, _, err = _run(capsys, ["example", "--n", "3", "--d", "3"])
     assert code == 2
+
+    zero_den = _write_instance(
+        tmp_path, "field Q\nn 3\nkind linear-subspace\n"
+                  "q1 = [y1, 1/0*y2, y3]\nend\n", "zero_den.txt")
+    code, _, err = _run(capsys, ["decide-span-f", "--input", zero_den])
+    assert code == 2 and "line 4, col 13" in err
+
+    huge = _write_instance(
+        tmp_path, "field Fp 3317044064679887385961981\nn 2\n"
+                  "kind linear-subspace\nq1 = [y1, 0]\nend\n", "huge.txt")
+    code, _, err = _run(capsys, ["decide-span-f", "--input", huge])
+    assert code == 2 and "cap" in err
 
 
 def test_example_range_and_json(capsys):

@@ -15,7 +15,14 @@ from locspan import (
     poly_lcm,
     reduce_fraction,
 )
-from locspan.exactalg import divides, exact_div, format_polynomial, try_exact_div
+from locspan.exactalg import (
+    MAX_MODULUS,
+    _is_prime,
+    divides,
+    exact_div,
+    format_polynomial,
+    try_exact_div,
+)
 
 from support import const, random_nonzero_polynomial, random_polynomial, variables
 
@@ -203,6 +210,24 @@ def test_prime_field_canonical_representatives():
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_prime_modulus_check_is_exact_and_capped():
+    assert PrimeField(10 ** 18 + 3).p == 10 ** 18 + 3
+    # Carmichael number and strong pseudoprimes to the first few bases
+    for composite in (561, 2047, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(composite)
+    with pytest.raises(ValueError, match="cap"):
+        PrimeField(MAX_MODULUS)
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 5000):
+        if sieve[i]:
+            for j in range(i * i, 5000, i):
+                sieve[j] = False
+    assert [p for p in range(5000) if _is_prime(p)] == \
+        [p for p in range(5000) if sieve[p]]
 
 
 def test_gcd_lcm_over_prime_field():
