@@ -17,9 +17,10 @@ components of a linear-subspace basis must expand to linear forms.
 
 Every run emits a report; with ``--json`` it is a single JSON object whose
 embedded canonical instance text makes each witness re-checkable by the
-``verify`` subcommand.  Exit code 0 means the computation completed (the
-decision itself is in the report), 2 means bad input, 3 means an
-enumeration budget was exceeded.
+``verify`` subcommand.  One table, ``_COMMANDS``, builds the argument
+parser and dispatches the instance subcommands.  Exit code 0 means the
+computation completed (the decision itself is in the report), 2 means bad
+input, 3 means an enumeration budget was exceeded.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -43,7 +45,7 @@ from .exactalg import (
     format_polynomial,
     poly_lcm,
 )
-from .groebner import Ideal, radical_membership
+from .groebner import radical_membership
 from .localmem import (
     BudgetExceededError,
     CramerWitness,
@@ -56,23 +58,25 @@ from .localmem import (
     local_membership_points,
     local_only_example,
     pencil_coefficients,
+    ranks_at,
     span_over_field,
     span_over_fractions,
+    stratum_ideal,
     verify_witness_bounds,
 )
 from .matspace import (
     DEFAULT_SEARCH_BUDGET,
     MatrixSubspace,
     Rank1Idempotent,
+    complement_subspace,
     find_rank1_idempotent,
     is_rank1_idempotent_free,
     is_subspace_of_tracezero,
     outer_product,
     perp,
     trace_pairing,
-    unflat,
 )
-from .polymat import ScalarMatrix, rank
+from .polymat import ScalarMatrix
 
 
 class ParseError(ValueError):
@@ -93,22 +97,20 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)"
 
 def _tokenize(text: str, line: int):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        if m.group("bad"):
+    for m in _TOKEN_RE.finditer(text):  # each match starts where the last ended
+        kind = m.lastgroup
+        if kind == "bad":
             raise ParseError(f"unexpected character {m.group('bad')!r}",
                              line, m.start("bad") + 1)
-        if m.group("int"):
-            tokens.append(("int", m.group("int"), m.start("int") + 1))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name") + 1))
-        elif m.group("sym"):
-            tokens.append(("sym", m.group("sym"), m.start("sym") + 1))
-        pos = m.end()
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
     return tokens
+
+
+#: The parser's work budget: a product or power whose result would exceed this
+#: degree, term count or (powers only) coefficient size is a `ParseError`.
+MAX_PARSE_DEGREE = 32
+MAX_PARSE_TERMS = 2_000
+MAX_PARSE_BITS = 1 << 16
 
 
 class _ExprParser:
@@ -155,11 +157,32 @@ class _ExprParser:
             value = value + term if op == "+" else value - term
         return value
 
+    def parse_list(self, parse_item) -> list:
+        """``[item, item, ...]``, each item read by ``parse_item``."""
+        self.expect("[")
+        items = [parse_item()]
+        while self.at_symbol(","):
+            self.next()
+            items.append(parse_item())
+        self.expect("]")
+        return items
+
+    def check_budget(self, tok, degree, terms, bits=0) -> None:
+        """Refuse, before expanding it, a product or power over budget."""
+        if (degree > MAX_PARSE_DEGREE or terms > MAX_PARSE_TERMS
+                or bits > MAX_PARSE_BITS):
+            raise ParseError("expansion exceeds the parser budget",
+                             self.line, tok[2])
+
     def parse_term(self) -> Polynomial:
         value = self.parse_factor()
         while self.at_symbol("*"):
-            self.next()
-            value = value * self.parse_factor()
+            star = self.next()
+            factor = self.parse_factor()
+            # the zero polynomial has degree -inf and always passes
+            self.check_budget(star, value.total_degree() + factor.total_degree(),
+                              len(value.terms) * len(factor.terms))
+            value = value * factor
         return value
 
     def parse_factor(self) -> Polynomial:
@@ -170,7 +193,14 @@ class _ExprParser:
             if tok[0] != "int":
                 raise ParseError("exponent must be an integer literal",
                                  self.line, tok[2])
-            value = value ** int(tok[1])
+            k = int(tok[1])
+            t = len(value.terms)
+            # a t-term polynomial to the k has at most C(t+k-1, k) terms
+            bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                        for c in value.terms.values()), default=0)
+            self.check_budget(caret, value.total_degree() * k,
+                              comb(t + k - 1, k) if t else 0, k * bits)
+            value = value ** k
         return value
 
     def parse_atom(self) -> Polynomial:
@@ -236,14 +266,12 @@ class InstanceFile:
     vectors: tuple = ()      # linear-subspace kind
     matrices: tuple = ()     # matrix-subspace kind
 
+    def field_name(self) -> str:
+        return f"Fp {self.field.p}" if isinstance(self.field, PrimeField) else "Q"
+
     def canonical_text(self) -> str:
-        lines = []
-        if isinstance(self.field, PrimeField):
-            lines.append(f"field Fp {self.field.p}")
-        else:
-            lines.append("field Q")
-        lines.append(f"n {self.nvars}")
-        lines.append(f"kind {self.kind}")
+        lines = [f"field {self.field_name()}", f"n {self.nvars}",
+                 f"kind {self.kind}"]
         if self.kind == "linear-subspace":
             for label, vec in zip(self.labels, self.vectors):
                 body = ", ".join(format_polynomial(p) for p in vec)
@@ -260,6 +288,13 @@ class InstanceFile:
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
+    def header(self) -> dict:
+        """Report keys field, n, d (codimension for matrices), instance, digest."""
+        count = len(self.labels)
+        d = count if self.kind == "linear-subspace" else self.nvars ** 2 - count
+        return {"field": self.field_name(), "n": self.nvars, "d": d,
+                "instance": self.canonical_text(), "digest": self.digest()}
+
     def to_linear_subspace(self) -> LinearSubspace:
         if self.kind != "linear-subspace":
             raise ValueError("instance is not a linear subspace")
@@ -269,11 +304,6 @@ class InstanceFile:
         if self.kind != "matrix-subspace":
             raise ValueError("instance is not a matrix subspace")
         return MatrixSubspace(self.matrices, n=self.nvars, field=self.field)
-
-
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -287,15 +317,13 @@ def parse_instance(text: str) -> InstanceFile:
     ended = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line == "end":
             ended = True
             break
-        parts = line.split(None, 1)
-        head = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
+        head, rest = (line.split(None, 1) + [""])[:2]
         if head == "field":
             words = rest.split()
             if words[:1] == ["Q"] and len(words) == 1:
@@ -334,13 +362,8 @@ def parse_instance(text: str) -> InstanceFile:
                              tokens[0][2])
         parser = _ExprParser(tokens[1:], nvars, field, lineno)
         parser.expect("=")
-        parser.expect("[")
         if kind == "linear-subspace":
-            components = [parser.parse_expression()]
-            while parser.at_symbol(","):
-                parser.next()
-                components.append(parser.parse_expression())
-            parser.expect("]")
+            components = parser.parse_list(parser.parse_expression)
             if parser.peek() is not None:
                 raise ParseError("trailing input after basis vector", lineno,
                                  parser.peek()[2])
@@ -348,40 +371,22 @@ def parse_instance(text: str) -> InstanceFile:
                 raise ParseError(
                     f"vector has {len(components)} components, expected {nvars}",
                     lineno, 1)
-            for comp in components:
-                if not (comp.is_zero() or comp.homogeneous_degree() == 1):
-                    raise ParseError("component not a linear form", lineno, 1)
+            if not all(c.is_zero() or c.homogeneous_degree() == 1
+                       for c in components):
+                raise ParseError("component not a linear form", lineno, 1)
             vectors.append(tuple(components))
         else:
-            rows = []
-            while True:
-                parser.expect("[")
-                row = [parser.parse_expression()]
-                while parser.at_symbol(","):
-                    parser.next()
-                    row.append(parser.parse_expression())
-                parser.expect("]")
-                rows.append(row)
-                if parser.at_symbol(","):
-                    parser.next()
-                    continue
-                break
-            parser.expect("]")
+            rows = parser.parse_list(
+                lambda: parser.parse_list(parser.parse_expression))
             if parser.peek() is not None:
                 raise ParseError("trailing input after matrix", lineno,
                                  parser.peek()[2])
             if len(rows) != nvars or any(len(r) != nvars for r in rows):
                 raise ParseError(f"matrix must be {nvars}x{nvars}", lineno, 1)
-            entries = []
-            for row in rows:
-                converted = []
-                for p in row:
-                    if not p.is_constant():
-                        raise ParseError("matrix entries must be constants",
-                                         lineno, 1)
-                    converted.append(p.constant_value())
-                entries.append(converted)
-            matrices.append(ScalarMatrix(entries, field))
+            if not all(p.is_constant() for row in rows for p in row):
+                raise ParseError("matrix entries must be constants", lineno, 1)
+            matrices.append(ScalarMatrix(
+                [[p.constant_value() for p in row] for row in rows], field))
         labels.append(label)
 
     if field is None or nvars is None or kind is None:
@@ -398,14 +403,6 @@ def parse_instance(text: str) -> InstanceFile:
 # ---------------------------------------------------------------------------
 # Report plumbing.
 
-def _field_name(field: Field) -> str:
-    return f"Fp {field.p}" if isinstance(field, PrimeField) else "Q"
-
-
-def _scalars(field: Field, values) -> list:
-    return [field.format(v) for v in values]
-
-
 def _matrix_json(matrix: ScalarMatrix) -> list:
     return [[matrix.field.format(x) for x in row] for row in matrix.entries]
 
@@ -418,6 +415,10 @@ def _witness_json(witness: CramerWitness) -> dict:
                     for lam in witness.lambdas],
         "m": format_polynomial(witness.denominator_lcm),
     }
+
+
+def _idempotent_json(found: Rank1Idempotent) -> dict:
+    return {"u": [str(x) for x in found.u], "v": [str(x) for x in found.v]}
 
 
 def _failure_json(witness) -> Optional[dict]:
@@ -434,31 +435,22 @@ def _failure_json(witness) -> Optional[dict]:
                 "rank_basis": witness.rank_basis,
                 "rank_augmented": witness.rank_augmented}
     if isinstance(witness, Rank1Idempotent):
-        return {"idempotent": {"u": [str(x) for x in witness.u],
-                               "v": [str(x) for x in witness.v]}}
+        return {"idempotent": _idempotent_json(witness)}
     raise TypeError(f"unknown failure witness {witness!r}")
 
 
-def _make_report(command: str, outcome: bool, witness, failure, instance,
-                 n: int, d: int, field: Field, started: float) -> dict:
-    return {
-        "command": command,
-        "outcome": outcome,
-        "witness": witness,
-        "failure_witness": failure,
-        "field": _field_name(field),
-        "n": n,
-        "d": d,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-        "instance": instance.canonical_text() if instance is not None else None,
-        "digest": instance.digest() if instance is not None else None,
-    }
+def _report(command: str, outcome, witness, failure, header: dict) -> dict:
+    """The ten report keys in order; field, n, d, instance and digest come
+    from ``header``, and `run_command` sets ``elapsed_ms``."""
+    return {"command": command, "outcome": outcome, "witness": witness,
+            "failure_witness": failure, "field": header.get("field"),
+            "n": header.get("n"), "d": header.get("d"), "elapsed_ms": None,
+            "instance": header.get("instance"), "digest": header.get("digest")}
 
 
 def _render_text(report: dict) -> str:
-    lines = []
-    for key in ("command", "field", "n", "d", "outcome"):
-        lines.append(f"{key}: {json.dumps(report[key])}")
+    lines = [f"{key}: {json.dumps(report[key])}"
+             for key in ("command", "field", "n", "d", "outcome")]
     for key in ("witness", "failure_witness"):
         if report.get(key) is not None:
             lines.append(f"{key}:")
@@ -473,14 +465,6 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, as_json: bool, stream=None) -> None:
-    stream = stream or sys.stdout
-    if as_json:
-        print(json.dumps(report, indent=2), file=stream)
-    else:
-        print(_render_text(report), file=stream)
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -489,115 +473,106 @@ def _read_input(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.  Each returns a report dict.
+# Subcommand implementations.  Each takes the parsed instance and the
+# command-line arguments and returns (outcome, witness, failure witness).
 
-def _cmd_decide_local(instance: InstanceFile, method: str, budget: int,
-                      started: float) -> dict:
+def _cmd_decide_local(instance: InstanceFile, args) -> tuple:
     subspace = instance.to_linear_subspace()
-    if method == "closure":
+    if args.method == "closure":
         decision = local_membership_closure(subspace)
     else:
-        decision = local_membership_points(subspace, budget=budget)
-    return _make_report("decide-local", decision.holds, None,
-                        _failure_json(decision.failure_witness), instance,
-                        subspace.nvars, subspace.dim, subspace.field, started)
+        decision = local_membership_points(subspace, budget=args.budget)
+    return decision.holds, None, _failure_json(decision.failure_witness)
 
 
-def _cmd_decide_span_f(instance: InstanceFile, started: float) -> dict:
+def _cmd_decide_span_f(instance: InstanceFile, args) -> tuple:
     subspace = instance.to_linear_subspace()
     coeffs = span_over_field(subspace)
-    witness = None
-    if coeffs is not None:
-        witness = {"coefficients": _scalars(subspace.field, coeffs)}
-    return _make_report("decide-span-f", coeffs is not None, witness, None,
-                        instance, subspace.nvars, subspace.dim,
-                        subspace.field, started)
+    if coeffs is None:
+        return False, None, None
+    return True, {"coefficients": [subspace.field.format(c) for c in coeffs]}, None
 
 
-def _cmd_decide_span_l(instance: InstanceFile, started: float) -> dict:
-    subspace = instance.to_linear_subspace()
-    witness = span_over_fractions(subspace)
-    return _make_report("decide-span-l", witness is not None,
-                        _witness_json(witness) if witness else None, None,
-                        instance, subspace.nvars, subspace.dim,
-                        subspace.field, started)
+def _cmd_decide_span_l(instance: InstanceFile, args) -> tuple:
+    witness = span_over_fractions(instance.to_linear_subspace())
+    return witness is not None, _witness_json(witness) if witness else None, None
 
 
-def _cmd_witness_bounds(instance: InstanceFile, started: float) -> dict:
+def _cmd_witness_bounds(instance: InstanceFile, args) -> tuple:
     subspace = instance.to_linear_subspace()
     witness = span_over_fractions(subspace)
     if witness is None:
-        return _make_report("witness-bounds", False, None, None, instance,
-                            subspace.nvars, subspace.dim, subspace.field,
-                            started)
+        return False, None, None
     report = verify_witness_bounds(witness, subspace)
     payload = _witness_json(witness)
-    payload.update({
-        "identity_ok": report.identity_ok,
-        "fractions_ok": report.fractions_ok,
-        "divisibility_ok": report.divisibility_ok,
-        "lcm_degree": report.lcm_degree,
-        "lcm_degree_below_dim": report.lcm_degree_below_dim,
-        "lambda_degrees": [list(t) for t in report.lambda_degrees],
-    })
-    return _make_report("witness-bounds", report.ok, payload, None, instance,
-                        subspace.nvars, subspace.dim, subspace.field, started)
+    payload.update((key, getattr(report, key)) for key in (
+        "identity_ok", "fractions_ok", "divisibility_ok", "lcm_degree",
+        "lcm_degree_below_dim"))
+    payload["lambda_degrees"] = [list(t) for t in report.lambda_degrees]
+    return report.ok, payload, None
 
 
-def _cmd_pencil(instance: InstanceFile, started: float) -> dict:
+def _cmd_pencil(instance: InstanceFile, args) -> tuple:
     subspace = instance.to_linear_subspace()
     matrices = pencil_coefficients(subspace)
     null = common_nullvector(matrices)
     field = subspace.field
-    coefficients = None
+    witness = {"matrices": [_matrix_json(m) for m in matrices],
+               "common_null": None, "coefficients": None}
     if null is not None:
         inv_last = field.inv(null[-1])
-        coefficients = [field.neg(field.mul(x, inv_last)) for x in null[:-1]]
-    witness = {
-        "matrices": [_matrix_json(m) for m in matrices],
-        "common_null": _scalars(field, null) if null is not None else None,
-        "coefficients": _scalars(field, coefficients)
-        if coefficients is not None else None,
-    }
-    return _make_report("pencil", null is not None, witness, None, instance,
-                        subspace.nvars, subspace.dim, field, started)
+        witness["common_null"] = [field.format(x) for x in null]
+        witness["coefficients"] = [field.format(field.neg(field.mul(x, inv_last)))
+                                   for x in null[:-1]]
+    return null is not None, witness, None
 
 
-def _cmd_r1free(instance: InstanceFile, started: float) -> dict:
-    subspace = instance.to_matrix_subspace()
-    decision = is_rank1_idempotent_free(subspace)
-    return _make_report("r1free", decision.holds, None,
-                        _failure_json(decision.failure_witness), instance,
-                        subspace.n, subspace.codim, subspace.field, started)
+def _cmd_r1free(instance: InstanceFile, args) -> tuple:
+    decision = is_rank1_idempotent_free(instance.to_matrix_subspace())
+    return decision.holds, None, _failure_json(decision.failure_witness)
 
 
-def _cmd_idempotent_search(instance: InstanceFile, budget: int,
-                           started: float) -> dict:
-    subspace = instance.to_matrix_subspace()
-    found = find_rank1_idempotent(subspace, budget=budget)
-    witness = None
-    if found is not None:
-        witness = {"u": [str(x) for x in found.u],
-                   "v": [str(x) for x in found.v]}
-    return _make_report("idempotent-search", found is not None, witness, None,
-                        instance, subspace.n, subspace.codim,
-                        subspace.field, started)
+def _cmd_idempotent_search(instance: InstanceFile, args) -> tuple:
+    found = find_rank1_idempotent(instance.to_matrix_subspace(),
+                                  budget=args.budget)
+    return found is not None, _idempotent_json(found) if found else None, None
 
 
-def _cmd_perp(instance: InstanceFile, started: float) -> dict:
-    subspace = instance.to_matrix_subspace()
-    complement = perp(subspace)
-    witness = {"dim": complement.dim,
-               "basis": [_matrix_json(b) for b in complement.basis]}
-    return _make_report("perp", True, witness, None, instance, subspace.n,
-                        subspace.codim, subspace.field, started)
+def _cmd_perp(instance: InstanceFile, args) -> tuple:
+    complement = perp(instance.to_matrix_subspace())
+    return True, {"dim": complement.dim,
+                  "basis": [_matrix_json(b) for b in complement.basis]}, None
 
 
-def _cmd_tracezero(instance: InstanceFile, started: float) -> dict:
-    subspace = instance.to_matrix_subspace()
-    outcome = is_subspace_of_tracezero(subspace)
-    return _make_report("tracezero", outcome, None, None, instance,
-                        subspace.n, subspace.codim, subspace.field, started)
+def _cmd_tracezero(instance: InstanceFile, args) -> tuple:
+    return is_subspace_of_tracezero(instance.to_matrix_subspace()), None, None
+
+
+#: The instance subcommands: name -> (implementation, help text, options
+#: beyond ``--input`` and ``--json``).  The table drives both the argument
+#: parser and the dispatch in `run_command`.
+_COMMANDS = {
+    "decide-local": (
+        _cmd_decide_local, "local membership of the coordinate vector",
+        (("--method", {"choices": ("closure", "points"),
+                       "default": "closure"}),
+         ("--budget", {"type": int, "default": DEFAULT_POINT_BUDGET}))),
+    "decide-span-f": (_cmd_decide_span_f,
+                      "membership with base-field coefficients", ()),
+    "decide-span-l": (_cmd_decide_span_l,
+                      "membership with rational-function coefficients", ()),
+    "witness-bounds": (_cmd_witness_bounds,
+                       "degree and divisibility checks on the witness", ()),
+    "pencil": (_cmd_pencil,
+               "pencil decomposition and common null vector", ()),
+    "r1free": (_cmd_r1free,
+               "rank-1 idempotent freeness (closure method)", ()),
+    "idempotent-search": (
+        _cmd_idempotent_search, "exhaustive prime-field idempotent search",
+        (("--budget", {"type": int, "default": DEFAULT_SEARCH_BUDGET}),)),
+    "perp": (_cmd_perp, "orthogonal complement under the trace pairing", ()),
+    "tracezero": (_cmd_tracezero, "containment in the trace-zero matrices", ()),
+}
 
 
 def instance_from_subspace(subspace: LinearSubspace) -> InstanceFile:
@@ -615,139 +590,152 @@ def instance_from_matrix_subspace(subspace: MatrixSubspace) -> InstanceFile:
 
 
 # ---------------------------------------------------------------------------
-# verify: re-check the witness of an emitted report.
+# verify: re-check the witness of an emitted report.  Every value read from
+# the report is checked for its shape first; a malformed report is a
+# `ValueError`, never a crash inside the library.
 
-def _parse_lambda(entry: dict, nvars: int, field: Field) -> RationalFunction:
-    num = parse_polynomial(entry["num"], nvars, field)
-    den = parse_polynomial(entry["den"], nvars, field)
-    return RationalFunction(num, den)
-
-
-def _reconstruct_witness(payload: dict, nvars: int, field: Field) -> CramerWitness:
-    index_set = tuple(i - 1 for i in payload["index_set"])
-    lambdas = tuple(_parse_lambda(e, nvars, field) for e in payload["lambdas"])
-    m = parse_polynomial(payload["m"], nvars, field)
-    return CramerWitness(index_set, lambdas, m)
+def _entry(payload, key: str, kind=list):
+    """``payload[key]``, which must be a ``kind``."""
+    value = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"malformed report: {key!r} must be a {kind.__name__}")
+    return value
 
 
-def _verify_minor_failure(subspace: LinearSubspace, payload: dict,
-                          checks: dict) -> None:
-    nvars, field = subspace.nvars, subspace.field
-    rows = tuple(r - 1 for r in payload["rows"])
-    cols = tuple(c - 1 for c in payload["cols"])
-    s = payload["stratum"]
-    reported = parse_polynomial(payload["minor"], nvars, field)
-    augmented = subspace.augmented_matrix()
-    actual = augmented.submatrix(rows, cols).det()
-    checks["minor_matches"] = actual == reported
-    ideal = Ideal([m for _, _, m in subspace.basis_matrix.minors(s)],
-                  nvars=nvars, field=field) if s <= subspace.dim else \
-        Ideal([], nvars=nvars, field=field)
-    checks["minor_outside_radical"] = not radical_membership(reported, ideal)
+def _indices(payload, key: str, bound: int) -> tuple:
+    """The 1-based indices in ``1..bound`` under ``key``, made 0-based."""
+    values = _entry(payload, key)
+    if not all(type(i) is int and 1 <= i <= bound for i in values):
+        raise ValueError(f"malformed report: {key!r} must hold indices 1..{bound}")
+    return tuple(i - 1 for i in values)
 
 
-def _verify_point_failure(subspace: LinearSubspace, payload: dict,
-                          checks: dict) -> None:
+def _parse_vector(payload, key: str, field: Field) -> list:
+    return [field.parse(x) for x in _entry(payload, key)]
+
+
+def _parse_matrices(payload, key: str, field: Field) -> list:
+    values = _entry(payload, key)
+    if not all(isinstance(m, list) and all(isinstance(r, list) for r in m)
+               for m in values):
+        raise ValueError(f"malformed report: {key!r} must hold matrices")
+    return [ScalarMatrix([[field.parse(x) for x in row] for row in m], field)
+            for m in values]
+
+
+def _parse_poly(payload, key: str, subspace: LinearSubspace) -> Polynomial:
+    return parse_polynomial(_entry(payload, key, str), subspace.nvars,
+                            subspace.field)
+
+
+def _instance(instance) -> InstanceFile:
+    if not isinstance(instance, InstanceFile):
+        raise ValueError("malformed report: no instance to check against")
+    return instance
+
+
+def _check_cramer(subspace: LinearSubspace, witness, checks: dict):
+    lambdas = _entry(witness, "lambdas")
+    nums = [_parse_poly(e, "num", subspace) for e in lambdas]
+    dens = [_parse_poly(e, "den", subspace) for e in lambdas]
+    m = _parse_poly(witness, "m", subspace)
+    if len(lambdas) != subspace.dim or not (m and all(dens)):
+        raise ValueError("malformed report: bad 'lambdas' or 'm' in the witness")
+    cramer = CramerWitness(_indices(witness, "index_set", subspace.nvars),
+                           tuple(map(RationalFunction, nums, dens)), m)
+    bounds = verify_witness_bounds(cramer, subspace)
+    checks["identity_holds"] = bounds.identity_ok
+    recomputed_m = Polynomial.one(subspace.nvars, subspace.field)
+    for lam in cramer.lambdas:
+        recomputed_m = poly_lcm(recomputed_m, lam.denominator)
+    checks["m_is_denominator_lcm"] = recomputed_m == cramer.denominator_lcm
+    return bounds
+
+
+def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
+    """Re-check a failing minor, or a rank jump at a point, of ``subspace``."""
+    if _entry(failure, "method", str) == "closure_radical":
+        s = _entry(failure, "stratum", int)
+        rows = _indices(failure, "rows", subspace.nvars)
+        cols = _indices(failure, "cols", subspace.dim + 1)
+        reported = _parse_poly(failure, "minor", subspace)
+        actual = subspace.augmented_matrix().submatrix(rows, cols).det()
+        checks["minor_matches"] = actual == reported
+        checks["minor_outside_radical"] = not radical_membership(
+            reported, stratum_ideal(subspace, s))
+    else:
+        point = _parse_vector(failure, "point", subspace.field)
+        rank_basis, rank_augmented = ranks_at(subspace, point)
+        checks["rank_jump"] = rank_augmented > rank_basis
+
+
+def _check_idempotent(subspace: MatrixSubspace, payload, checks: dict):
     field = subspace.field
-    point = [field.parse(x) for x in payload["point"]]
-    columns = [b.matvec(point) for b in subspace.coeff_matrices]
-    basis_eval = ScalarMatrix.from_columns(columns, field)
-    aug_eval = ScalarMatrix.from_columns(columns + [tuple(point)], field)
-    checks["rank_jump"] = rank(aug_eval) > rank(basis_eval)
+    u = _parse_vector(payload, "u", field)
+    v = _parse_vector(payload, "v", field)
+    idempotent = outer_product(u, v, field)
+    checks["normalized"] = idempotent.trace() == field.one  # v^T u = 1
+    checks["inside_subspace"] = subspace.contains(idempotent)
 
 
 def verify_report(report: dict) -> dict:
     """Re-check everything checkable in a previously emitted report."""
+    if not isinstance(report, dict):
+        raise ValueError("malformed report: not a JSON object")
+    instance = report.get("instance") and parse_instance(
+        _entry(report, "instance", str))
     command = report.get("command")
-    checks: dict = {}
-    instance = None
-    if report.get("instance"):
-        instance = parse_instance(report["instance"])
     witness = report.get("witness")
     failure = report.get("failure_witness")
+    checks: dict = {}
 
-    if command in ("decide-span-f",) and witness:
-        subspace = instance.to_linear_subspace()
-        field = subspace.field
-        coeffs = [field.parse(x) for x in witness["coefficients"]]
-        target = subspace.coordinate_target()
-        ok = True
-        for comp in range(subspace.nvars):
-            acc = Polynomial.zero(subspace.nvars, field)
-            for c, vec in zip(coeffs, subspace.basis):
-                acc = acc + vec[comp].scale(c)
-            ok = ok and acc == target[comp]
-        checks["combination_matches_target"] = ok
+    if command == "decide-span-f" and witness:
+        subspace = _instance(instance).to_linear_subspace()
+        coeffs = _parse_vector(witness, "coefficients", subspace.field)
+        combination = tuple(
+            sum((vec[comp].scale(c) for c, vec in zip(coeffs, subspace.basis)),
+                Polynomial.zero(subspace.nvars, subspace.field))
+            for comp in range(subspace.nvars))
+        checks["combination_matches_target"] = \
+            combination == subspace.coordinate_target()
     elif command in ("decide-span-l", "witness-bounds") and witness:
-        subspace = instance.to_linear_subspace()
-        cramer = _reconstruct_witness(witness, subspace.nvars, subspace.field)
-        bounds = verify_witness_bounds(cramer, subspace)
-        checks["identity_holds"] = bounds.identity_ok
-        recomputed_m = Polynomial.one(subspace.nvars, subspace.field)
-        for lam in cramer.lambdas:
-            recomputed_m = poly_lcm(recomputed_m, lam.denominator)
-        checks["m_is_denominator_lcm"] = recomputed_m == cramer.denominator_lcm
+        bounds = _check_cramer(_instance(instance).to_linear_subspace(),
+                               witness, checks)
         if command == "witness-bounds":
             checks["fractions_flag_matches"] = \
-                bounds.fractions_ok == witness["fractions_ok"]
+                bounds.fractions_ok == witness.get("fractions_ok")
             checks["divisibility_flag_matches"] = \
-                bounds.divisibility_ok == witness["divisibility_ok"]
+                bounds.divisibility_ok == witness.get("divisibility_ok")
             checks["lcm_degree_matches"] = \
-                bounds.lcm_degree == witness["lcm_degree"]
+                bounds.lcm_degree == witness.get("lcm_degree")
     elif command == "decide-local" and failure:
-        subspace = instance.to_linear_subspace()
-        if failure.get("method") == "closure_radical":
-            _verify_minor_failure(subspace, failure, checks)
-        else:
-            _verify_point_failure(subspace, failure, checks)
+        _check_local_failure(_instance(instance).to_linear_subspace(),
+                             failure, checks)
     elif command == "r1free" and failure:
-        matrix_subspace = instance.to_matrix_subspace()
-        if "idempotent" in failure:
-            field = matrix_subspace.field
-            u = [field.parse(x) for x in failure["idempotent"]["u"]]
-            v = [field.parse(x) for x in failure["idempotent"]["v"]]
-            dot = field.zero
-            for a, b in zip(u, v):
-                dot = field.add(dot, field.mul(a, b))
-            checks["normalized"] = dot == field.one
-            checks["inside_subspace"] = matrix_subspace.contains(
-                outer_product(u, v, field))
+        matrix_subspace = _instance(instance).to_matrix_subspace()
+        if isinstance(failure, dict) and "idempotent" in failure:
+            _check_idempotent(matrix_subspace, failure["idempotent"], checks)
         else:
-            complement = perp(matrix_subspace)
-            derived = LinearSubspace([unflat(b) for b in complement.basis])
-            if failure.get("method") == "closure_radical":
-                _verify_minor_failure(derived, failure, checks)
-            else:
-                _verify_point_failure(derived, failure, checks)
+            _check_local_failure(complement_subspace(matrix_subspace),
+                                 failure, checks)
     elif command == "idempotent-search" and witness:
-        matrix_subspace = instance.to_matrix_subspace()
-        field = matrix_subspace.field
-        u = [field.parse(x) for x in witness["u"]]
-        v = [field.parse(x) for x in witness["v"]]
-        dot = field.zero
-        for a, b in zip(u, v):
-            dot = field.add(dot, field.mul(a, b))
-        checks["normalized"] = dot == field.one
-        checks["inside_subspace"] = matrix_subspace.contains(
-            outer_product(u, v, field))
+        _check_idempotent(_instance(instance).to_matrix_subspace(), witness,
+                          checks)
     elif command == "pencil" and witness:
-        subspace = instance.to_linear_subspace()
+        subspace = _instance(instance).to_linear_subspace()
         field = subspace.field
         matrices = pencil_coefficients(subspace)
-        reported = [ScalarMatrix([[field.parse(x) for x in row] for row in m],
-                                 field) for m in witness["matrices"]]
-        checks["matrices_match"] = matrices == reported
+        checks["matrices_match"] = \
+            matrices == _parse_matrices(witness, "matrices", field)
         if witness.get("common_null") is not None:
-            null = [field.parse(x) for x in witness["common_null"]]
-            zero_vec = tuple(field.zero for _ in null)
-            checks["annihilates_pencil"] = all(
-                m.matvec(null) == zero_vec for m in matrices)
+            null = _parse_vector(witness, "common_null", field)
+            checks["annihilates_pencil"] = not any(
+                any(m.matvec(null)) for m in matrices)
             checks["last_coordinate_nonzero"] = null[-1] != field.zero
     elif command == "perp" and witness:
-        matrix_subspace = instance.to_matrix_subspace()
+        matrix_subspace = _instance(instance).to_matrix_subspace()
         field = matrix_subspace.field
-        basis = [ScalarMatrix([[field.parse(x) for x in row] for row in m],
-                              field) for m in witness["basis"]]
+        basis = _parse_matrices(witness, "basis", field)
         checks["orthogonal"] = all(
             trace_pairing(a, b) == field.zero
             for a in basis for b in matrix_subspace.basis)
@@ -756,12 +744,10 @@ def verify_report(report: dict) -> dict:
         checks["independent"] = MatrixSubspace(
             basis, n=matrix_subspace.n, field=field).dim == len(basis)
     elif command == "tracezero":
-        matrix_subspace = instance.to_matrix_subspace()
-        checks["outcome_matches"] = (
-            is_subspace_of_tracezero(matrix_subspace) == report["outcome"])
+        checks["outcome_matches"] = is_subspace_of_tracezero(
+            _instance(instance).to_matrix_subspace()) == report.get("outcome")
     else:
         checks["nothing_to_verify"] = True
-
     return checks
 
 
@@ -773,37 +759,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="locspan",
         description="Exact span-membership and rank-1-idempotent decisions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_input(p):
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", default="-",
                        help="instance file ('-' for stdin)")
         p.add_argument("--json", action="store_true",
                        help="emit the report as a JSON object")
-        return p
-
-    p = with_input(sub.add_parser("decide-local",
-                                  help="local membership of the coordinate vector"))
-    p.add_argument("--method", choices=("closure", "points"),
-                   default="closure")
-    p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
-
-    with_input(sub.add_parser("decide-span-f",
-                              help="membership with base-field coefficients"))
-    with_input(sub.add_parser("decide-span-l",
-                              help="membership with rational-function coefficients"))
-    with_input(sub.add_parser("witness-bounds",
-                              help="degree and divisibility checks on the witness"))
-    with_input(sub.add_parser("pencil",
-                              help="pencil decomposition and common null vector"))
-    with_input(sub.add_parser("r1free",
-                              help="rank-1 idempotent freeness (closure method)"))
-    p = with_input(sub.add_parser("idempotent-search",
-                                  help="exhaustive prime-field idempotent search"))
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    with_input(sub.add_parser("perp",
-                              help="orthogonal complement under the trace pairing"))
-    with_input(sub.add_parser("tracezero",
-                              help="containment in the trace-zero matrices"))
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
 
     p = sub.add_parser("example",
                        help="print a locally-spanning instance without a "
@@ -823,66 +786,32 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         if args.command == "example":
-            subspace = local_only_example(args.n, args.d)
-            instance = instance_from_subspace(subspace)
-            if args.json:
-                report = _make_report(
-                    "example", True, {"instance": instance.canonical_text()},
-                    None, instance, args.n, args.d, subspace.field, started)
-                _emit(report, as_json=True)
-            else:
+            instance = instance_from_subspace(
+                local_only_example(args.n, args.d))
+            if not args.json:
                 sys.stdout.write(instance.canonical_text())
-            return 0
-
-        if args.command == "verify":
+                return 0
+            report = _report("example", True,
+                             {"instance": instance.canonical_text()}, None,
+                             instance.header())
+        elif args.command == "verify":
             inner = json.loads(_read_input(args.input))
             checks = verify_report(inner)
-            outcome = all(bool(v) for v in checks.values())
-            report = {
-                "command": "verify",
-                "outcome": outcome,
-                "witness": {"checks": checks},
-                "failure_witness": None,
-                "field": inner.get("field"),
-                "n": inner.get("n"),
-                "d": inner.get("d"),
-                "elapsed_ms": int((time.monotonic() - started) * 1000),
-                "instance": inner.get("instance"),
-                "digest": inner.get("digest"),
-            }
-            _emit(report, as_json=args.json)
-            return 0
-
-        text = _read_input(args.input)
-        instance = parse_instance(text)
-        if args.command == "decide-local":
-            report = _cmd_decide_local(instance, args.method, args.budget,
-                                       started)
-        elif args.command == "decide-span-f":
-            report = _cmd_decide_span_f(instance, started)
-        elif args.command == "decide-span-l":
-            report = _cmd_decide_span_l(instance, started)
-        elif args.command == "witness-bounds":
-            report = _cmd_witness_bounds(instance, started)
-        elif args.command == "pencil":
-            report = _cmd_pencil(instance, started)
-        elif args.command == "r1free":
-            report = _cmd_r1free(instance, started)
-        elif args.command == "idempotent-search":
-            report = _cmd_idempotent_search(instance, args.budget, started)
-        elif args.command == "perp":
-            report = _cmd_perp(instance, started)
-        elif args.command == "tracezero":
-            report = _cmd_tracezero(instance, started)
-        else:  # pragma: no cover - argparse restricts the choices
-            raise AssertionError(args.command)
+            report = _report("verify", all(bool(v) for v in checks.values()),
+                             {"checks": checks}, None, inner)
+        else:
+            instance = parse_instance(_read_input(args.input))
+            run = _COMMANDS[args.command][0]
+            report = _report(args.command, *run(instance, args),
+                             instance.header())
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, JSON errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, as_json=args.json)
+    report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+    print(json.dumps(report, indent=2) if args.json else _render_text(report))
     return 0
 
 

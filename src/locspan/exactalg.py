@@ -90,12 +90,15 @@ class Field:
         return False
 
     def parse(self, text: str):
-        """Scalar from a string: an integer or ``num/den``."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.normalize(Fraction(int(num), int(den)))
-        return self.normalize(int(text))
+        """Scalar from a string, an integer or ``num/den``; anything else,
+        a zero denominator included, is a `ValueError`."""
+        if not isinstance(text, str):
+            raise ValueError(f"scalar {text!r} is not a string")
+        num, slash, den = text.partition("/")
+        try:
+            return self.normalize(Fraction(int(num), int(den) if slash else 1))
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {text!r} has a zero denominator") from None
 
     def format(self, a) -> str:
         return str(a)

@@ -55,6 +55,16 @@ def _linear_coefficients(p: Polynomial) -> list:
     return row
 
 
+def unflat(matrix: ScalarMatrix) -> tuple:
+    """The vector of linear forms ``b . y`` of a square matrix ``b``."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("unflat needs a square matrix")
+    y = coordinate_vector(matrix.rows, matrix.field)
+    zero = Polynomial.zero(matrix.rows, matrix.field)
+    return tuple(sum((y[j].scale(c) for j, c in enumerate(row)), zero)
+                 for row in matrix.entries)
+
+
 class LinearSubspace:
     """A spanning list of vectors of linear forms, with coefficient matrices.
 
@@ -93,16 +103,7 @@ class LinearSubspace:
     @classmethod
     def from_matrices(cls, matrices: Sequence[ScalarMatrix]) -> "LinearSubspace":
         """Subspace spanned by ``b . y`` for each given square matrix ``b``."""
-        vectors = []
-        for b in matrices:
-            if b.rows != b.cols:
-                raise ValueError("coefficient matrices must be square")
-            y = coordinate_vector(b.rows, b.field)
-            vectors.append(tuple(
-                sum((y[j].scale(b[i, j]) for j in range(b.cols)),
-                    Polynomial.zero(b.rows, b.field))
-                for i in range(b.rows)))
-        return cls(vectors)
+        return cls([unflat(b) for b in matrices])
 
     @cached_property
     def basis_matrix(self) -> PolyMatrix:
@@ -333,6 +334,21 @@ def verify_witness_bounds(witness: CramerWitness, subspace: LinearSubspace,
         lambda_degrees=tuple(degrees))
 
 
+def stratum_ideal(subspace: LinearSubspace, s: int) -> Ideal:
+    """The ideal of all s x s basis minors; the zero ideal for ``s > d``."""
+    minors = subspace.basis_matrix.minors(s) if s <= subspace.dim else []
+    return Ideal([m for _, _, m in minors], nvars=subspace.nvars,
+                 field=subspace.field)
+
+
+def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
+    """Ranks of the basis matrix and of the augmented matrix at ``point``."""
+    field = subspace.field
+    columns = [b.matvec(point) for b in subspace.coeff_matrices]
+    return (rank(ScalarMatrix.from_columns(columns, field)),
+            rank(ScalarMatrix.from_columns(columns + [tuple(point)], field)))
+
+
 def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     """Exact local membership decision over the algebraic closure.
 
@@ -348,13 +364,8 @@ def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     if d >= n:
         raise ValueError("local membership decision requires dim < n")
     augmented = subspace.augmented_matrix()
-    q = subspace.basis_matrix
     for s in range(1, d + 2):
-        if s <= d:
-            minor_ideal = Ideal([m for _, _, m in q.minors(s)],
-                                nvars=n, field=subspace.field)
-        else:
-            minor_ideal = Ideal([], nvars=n, field=subspace.field)
+        minor_ideal = stratum_ideal(subspace, s)
         for rows, cols, minor in augmented.minors(s):
             if d not in cols:
                 continue  # only minors that involve the target column
@@ -381,13 +392,8 @@ def local_membership_points(subspace: LinearSubspace,
     if field.p ** n > budget:
         raise BudgetExceededError(
             f"{field.p}^{n} points exceed the budget of {budget}")
-    matrices = subspace.coeff_matrices
     for point in itertools.product(range(field.p), repeat=n):
-        columns = [b.matvec(point) for b in matrices]
-        basis_eval = ScalarMatrix.from_columns(columns, field)
-        augmented_eval = ScalarMatrix.from_columns(columns + [point], field)
-        r_basis = rank(basis_eval)
-        r_aug = rank(augmented_eval)
+        r_basis, r_aug = ranks_at(subspace, point)
         if r_aug > r_basis:
             return LocalDecision(
                 holds=False, method="point_enumeration",

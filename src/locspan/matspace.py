@@ -16,12 +16,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exactalg import Field, Polynomial, PrimeField, coordinate_vector
+from .exactalg import Field, PrimeField
 from .localmem import (
     BudgetExceededError,
     LinearSubspace,
     LocalDecision,
     local_membership_closure,
+    unflat,  # noqa: F401  (re-exported: b . y lives with LinearSubspace)
 )
 from .polymat import (
     ScalarMatrix,
@@ -114,22 +115,6 @@ def flat(subspace: LinearSubspace) -> MatrixSubspace:
                           field=subspace.field)
 
 
-def unflat(matrix: ScalarMatrix) -> tuple:
-    """The vector of linear forms ``b . y`` of a square matrix ``b``."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("unflat needs a square matrix")
-    n = matrix.rows
-    field = matrix.field
-    y = coordinate_vector(n, field)
-    out = []
-    for i in range(n):
-        acc = Polynomial.zero(n, field)
-        for j in range(n):
-            acc = acc + y[j].scale(matrix[i, j])
-        out.append(acc)
-    return tuple(out)
-
-
 def trace_pairing(a: ScalarMatrix, b: ScalarMatrix):
     """The symmetric bilinear form Tr(a b)."""
     if a.rows != b.rows or a.cols != b.cols or a.rows != a.cols:
@@ -154,6 +139,11 @@ def perp(subspace: MatrixSubspace) -> MatrixSubspace:
     return MatrixSubspace(basis, n=n, field=field)
 
 
+def complement_subspace(subspace: MatrixSubspace) -> LinearSubspace:
+    """The complement `perp` read as a subspace of vectors of linear forms."""
+    return LinearSubspace.from_matrices(perp(subspace).basis)
+
+
 def is_subspace_of_tracezero(subspace: MatrixSubspace) -> bool:
     """Whether every basis matrix has trace zero."""
     return all(b.trace() == subspace.field.zero for b in subspace.basis)
@@ -176,9 +166,7 @@ def is_rank1_idempotent_free(subspace: MatrixSubspace) -> LocalDecision:
                    for i in range(n))
         return LocalDecision(holds=False, method="closure_radical",
                              failure_witness=Rank1Idempotent(e1, e1))
-    complement = perp(subspace)
-    derived = LinearSubspace([unflat(b) for b in complement.basis])
-    return local_membership_closure(derived)
+    return local_membership_closure(complement_subspace(subspace))
 
 
 def _projective_representatives(p: int, n: int):

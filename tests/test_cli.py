@@ -279,6 +279,125 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+def _verify_file(capsys, tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    return _run(capsys, ["verify", "--input", str(path)])
+
+
+SPAN_F_TEXT = ("field Q\nn 3\nkind linear-subspace\n"
+               "q1 = [y1, y2, y3 - y1]\nq2 = [0, 0, y1]\nend\n")
+
+
+def test_verify_bad_scalars_exit_2(tmp_path, capsys):
+    counter5 = instance_from_subspace(
+        fraction_span_only_example(3, PrimeField(5))).canonical_text()
+    reports = [
+        {"command": "decide-span-f", "instance": SPAN_F_TEXT,
+         "witness": {"coefficients": ["1/0", "1"]}},
+        {"command": "decide-span-f", "instance": SPAN_F_TEXT,
+         "witness": {"coefficients": [3, "1"]}},
+        {"command": "decide-local", "instance": counter5,
+         "failure_witness": {"method": "point_enumeration",
+                             "point": ["1/5", "1", "0"]}},
+    ]
+    for report in reports:
+        code, out, err = _verify_file(capsys, tmp_path, report)
+        assert code == 2 and err.startswith("error: ") and not out, report
+    # the well-formed report passes
+    report = {"command": "decide-span-f", "instance": SPAN_F_TEXT,
+              "witness": {"coefficients": ["1", "1"]}}
+    assert verify_report(report) == {"combination_matches_target": True}
+
+
+def test_verify_malformed_reports_exit_2(tmp_path, capsys):
+    matrix = instance_from_matrix_subspace(
+        perp(flat(local_only_example(4, 3)))).canonical_text()
+    idem = ("field Fp 5\nn 2\nkind matrix-subspace\n"
+            "b1 = [[1, 0], [0, 0]]\nend\n")
+    malformed = [
+        "x",
+        [],
+        {"command": "decide-span-f", "witness": {"coefficients": ["1"]}},
+        {"command": "tracezero", "outcome": True},
+        {"command": "decide-span-f", "instance": SPAN_F_TEXT,
+         "witness": {"x": 1}},
+        {"command": "decide-span-f", "instance": 7, "witness": {"x": 1}},
+        {"command": "decide-span-l", "instance": GOLDEN_TEXT,
+         "witness": {"index_set": [1, 3, 4], "m": "y1",
+                     "lambdas": [{"num": "1", "den": "0"}] * 3}},
+        {"command": "decide-span-l", "instance": GOLDEN_TEXT,
+         "witness": {"index_set": [1, 3, 4], "m": "0",
+                     "lambdas": [{"num": "1", "den": "1"}] * 3}},
+        {"command": "decide-span-l", "instance": GOLDEN_TEXT,
+         "witness": {"index_set": [1, 3, 4], "m": "1",
+                     "lambdas": [{"num": "1", "den": "1"}] * 4}},
+        {"command": "decide-span-l", "instance": GOLDEN_TEXT,
+         "witness": {"index_set": ["a"], "m": "1",
+                     "lambdas": [{"num": "1", "den": "1"}] * 3}},
+        {"command": "decide-local", "instance": GOLDEN_TEXT,
+         "failure_witness": ["closure_radical"]},
+        {"command": "decide-local", "instance": GOLDEN_TEXT,
+         "failure_witness": {"method": "closure_radical", "stratum": "1",
+                             "rows": [1], "cols": [4], "minor": "y1"}},
+        {"command": "decide-local", "instance": GOLDEN_TEXT,
+         "failure_witness": {"method": "closure_radical", "stratum": 1,
+                             "rows": [9], "cols": [4], "minor": "y1"}},
+        {"command": "decide-local", "instance": GOLDEN_TEXT,
+         "failure_witness": {"method": "closure_radical", "stratum": 1,
+                             "rows": [0], "cols": [4], "minor": "y1"}},
+        {"command": "decide-local", "instance": GOLDEN_TEXT,
+         "failure_witness": {"method": "closure_radical", "stratum": 1,
+                             "rows": [], "cols": [], "minor": "y1"}},
+        {"command": "decide-local", "instance": GOLDEN_TEXT,
+         "failure_witness": {"method": "closure_radical", "stratum": 1,
+                             "rows": [1], "cols": [4], "minor": 5}},
+        {"command": "decide-local", "instance": GOLDEN_TEXT,
+         "failure_witness": {"method": "point_enumeration", "point": ["1"]}},
+        {"command": "r1free", "instance": matrix,
+         "failure_witness": "idempotent"},
+        {"command": "idempotent-search", "instance": idem,
+         "witness": {"u": ["1"], "v": ["1", "0"]}},
+        {"command": "pencil", "instance": GOLDEN_TEXT,
+         "witness": {"matrices": [1, 2]}},
+        {"command": "pencil", "instance": GOLDEN_TEXT,
+         "witness": {"matrices": [], "common_null": []}},
+        {"command": "perp", "instance": matrix,
+         "witness": {"basis": [[["1", "0"], ["0"]]]}},
+    ]
+    for report in malformed:
+        code, out, err = _verify_file(capsys, tmp_path, report)
+        assert code == 2 and err.startswith("error: ") and not out, report
+
+
+def test_parser_budget_refuses_expansions_before_they_run(tmp_path, capsys):
+    import time
+    forms = "(y1+y2+y3+y4+y5+y6)"
+    hostile = f"{forms}^16 - {forms}^16 + y1"
+    started = time.monotonic()
+    with pytest.raises(ParseError, match="budget") as info:
+        parse_polynomial(hostile, 6, QQ, line=3)
+    assert time.monotonic() - started < 1.0
+    assert (info.value.line, info.value.col) == (3, len(forms) + 1)
+    for text, n in (("(y1+y2)^1000", 2), ("y1^33", 1),
+                    ("((((2^64)^64)^64)^64)^64", 1),
+                    (f"{forms}^8 * {forms}^8", 6)):
+        started = time.monotonic()
+        with pytest.raises(ParseError, match="budget"):
+            parse_polynomial(text, n, QQ)
+        assert time.monotonic() - started < 1.0
+    # within the budget everything still expands
+    assert parse_polynomial("(y1 - y1)^1000000 + (y1+y2)^2 - y1^2 - y2^2",
+                            2, QQ) == parse_polynomial("2*y1*y2", 2, QQ)
+    assert parse_polynomial("(y1 + 1)^32", 1, QQ).total_degree() == 32
+    line = f"q1 = [{hostile}, y2, y3, y4, y5, y6]"
+    path = _write_instance(
+        tmp_path, f"field Q\nn 6\nkind linear-subspace\n{line}\nend\n")
+    code, out, err = _run(capsys, ["decide-span-f", "--input", path])
+    assert code == 2 and not out
+    assert f"line 4, col {line.index('^') + 1}" in err
+
+
 def test_example_range_and_json(capsys):
     code, out, _ = _run(capsys, ["example", "--n", "5", "--d", "4", "--json"])
     assert code == 0
