@@ -18,7 +18,6 @@ from .exactalg import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    MonomialOrder,
     buchberger,
     ideal_membership,
     normal_form,

@@ -107,10 +107,12 @@ def _tokenize(text: str, line: int):
 
 
 #: The parser's work budget: a product or power whose result would exceed this
-#: degree, term count or (powers only) coefficient size is a `ParseError`.
+#: degree, term count or (powers only) coefficient size is a `ParseError`,
+#: and so is nesting of parentheses and unary minus past this depth.
 MAX_PARSE_DEGREE = 32
 MAX_PARSE_TERMS = 2_000
 MAX_PARSE_BITS = 1 << 16
+MAX_PARSE_DEPTH = 100
 
 
 class _ExprParser:
@@ -122,6 +124,7 @@ class _ExprParser:
         self.nvars = nvars
         self.field = field
         self.line = line
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -205,11 +208,17 @@ class _ExprParser:
 
     def parse_atom(self) -> Polynomial:
         tok = self.next()
-        if tok[0] == "sym" and tok[1] == "-":
-            return -self.parse_atom()
-        if tok[0] == "sym" and tok[1] == "(":
-            value = self.parse_expression()
-            self.expect(")")
+        if tok[0] == "sym" and tok[1] in ("-", "("):
+            self.depth += 1
+            if self.depth > MAX_PARSE_DEPTH:
+                raise ParseError("nesting exceeds the parser budget",
+                                 self.line, tok[2])
+            if tok[1] == "-":
+                value = -self.parse_atom()
+            else:
+                value = self.parse_expression()
+                self.expect(")")
+            self.depth -= 1
             return value
         if tok[0] == "int":
             numerator = int(tok[1])
@@ -641,8 +650,11 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict):
     m = _parse_poly(witness, "m", subspace)
     if len(lambdas) != subspace.dim or not (m and all(dens)):
         raise ValueError("malformed report: bad 'lambdas' or 'm' in the witness")
-    cramer = CramerWitness(_indices(witness, "index_set", subspace.nvars),
-                           tuple(map(RationalFunction, nums, dens)), m)
+    index_set = _indices(witness, "index_set", subspace.nvars)
+    if len(index_set) != subspace.dim or list(index_set) != sorted(set(index_set)):
+        raise ValueError("malformed report: 'index_set' must hold d increasing "
+                         "indices")
+    cramer = CramerWitness(index_set, tuple(map(RationalFunction, nums, dens)), m)
     bounds = verify_witness_bounds(cramer, subspace)
     checks["identity_holds"] = bounds.identity_ok
     recomputed_m = Polynomial.one(subspace.nvars, subspace.field)
@@ -795,7 +807,10 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
                              {"instance": instance.canonical_text()}, None,
                              instance.header())
         elif args.command == "verify":
-            inner = json.loads(_read_input(args.input))
+            try:
+                inner = json.loads(_read_input(args.input))
+            except RecursionError:
+                raise ValueError("malformed report: nested too deeply") from None
             checks = verify_report(inner)
             report = _report("verify", all(bool(v) for v in checks.values()),
                              {"checks": checks}, None, inner)

@@ -221,25 +221,14 @@ def monomial_degree(m: Monomial) -> int:
 
 
 def grevlex_key(m: Monomial):
-    """Sort key: larger key = larger monomial under graded reverse lex."""
+    """Sort key: larger key = larger monomial in grevlex order."""
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def lex_key(m: Monomial):
-    return tuple(m)
-
-
-# Descending keys: smaller key = larger monomial, so a min-heap of
-# ``(desc_key(m), m)`` pops monomials in decreasing order.
-
 def grevlex_desc_key(m: Monomial):
-    """Sort key: smaller key = larger monomial under graded reverse lex."""
+    """Sort key: smaller key = larger monomial in grevlex order, so a
+    min-heap of ``(grevlex_desc_key(m), m)`` pops monomials largest first."""
     return (-sum(m), m[::-1])
-
-
-def lex_desc_key(m: Monomial):
-    """Sort key: smaller key = larger monomial under lex."""
-    return tuple(-e for e in m)
 
 
 class Polynomial:
@@ -345,20 +334,17 @@ class Polynomial:
                     used.add(i)
         return used
 
-    def leading_term(self, key=grevlex_key):
+    def leading_term(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=key)
+        mono = max(self.terms, key=grevlex_key)
         return mono, self.terms[mono]
 
-    def leading_monomial(self, key=grevlex_key) -> Monomial:
-        return self.leading_term(key)[0]
+    def leading_monomial(self) -> Monomial:
+        return self.leading_term()[0]
 
-    def leading_coefficient(self, key=grevlex_key):
-        return self.leading_term(key)[1]
-
-    def sorted_terms(self, key=grevlex_key, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+    def leading_coefficient(self):
+        return self.leading_term()[1]
 
     def coefficient_of(self, mono) -> object:
         return self.terms.get(tuple(mono), self.field.zero)
@@ -519,13 +505,14 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def format_polynomial(p: Polynomial, key=grevlex_key) -> str:
-    """Canonical string form: terms descending under the monomial order."""
+def format_polynomial(p: Polynomial) -> str:
+    """Canonical string form: terms in descending grevlex order."""
     if p.is_zero():
         return "0"
     field = p.field
     pieces = []
-    for mono, coeff in p.sorted_terms(key=key):
+    for mono in sorted(p.terms, key=grevlex_desc_key):
+        coeff = p.terms[mono]
         negative = field.is_negative(coeff)
         magnitude = field.neg(coeff) if negative else coeff
         factors = [f"y{i + 1}" + (f"^{e}" if e > 1 else "")
@@ -556,7 +543,7 @@ class TermQueue:
     """A working term map that gives up its terms largest first.
 
     Division repeatedly removes the leading term of a working polynomial and
-    subtracts a multiple of a divisor.  A heap of ``(desc_key(m), m)``
+    subtracts a multiple of a divisor.  A heap of ``(grevlex_desc_key(m), m)``
     entries stands in for a rescan of the whole map at every step.  A
     monomial cancelled after it was queued stays in the heap and is skipped
     when popped.  Every monomial a subtraction adds is below the leading one
@@ -564,13 +551,12 @@ class TermQueue:
     enough.
     """
 
-    __slots__ = ("terms", "field", "desc_key", "heap")
+    __slots__ = ("terms", "field", "heap")
 
-    def __init__(self, terms: dict, field: Field, desc_key):
+    def __init__(self, terms: dict, field: Field):
         self.terms = dict(terms)
         self.field = field
-        self.desc_key = desc_key
-        self.heap = [(desc_key(m), m) for m in self.terms]
+        self.heap = [(grevlex_desc_key(m), m) for m in self.terms]
         heapify(self.heap)
 
     def __bool__(self) -> bool:
@@ -591,7 +577,7 @@ class TermQueue:
         The term of ``lead``, the leading monomial of ``g``, is skipped: it
         cancels the leading term the caller has already popped.
         """
-        terms, heap, desc_key = self.terms, self.heap, self.desc_key
+        terms, heap = self.terms, self.heap
         field = self.field
         sub, mul, zero = field.sub, field.mul, field.zero
         for gm, gc in divisor.items():
@@ -605,7 +591,7 @@ class TermQueue:
             else:
                 terms[m] = c
                 if old is None:
-                    heappush(heap, (desc_key(m), m))
+                    heappush(heap, (grevlex_desc_key(m), m))
 
 
 def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
@@ -617,7 +603,7 @@ def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         return a
     field = a.field
     blm, blc = b.leading_term()
-    work = TermQueue(a.terms, field, grevlex_desc_key)
+    work = TermQueue(a.terms, field)
     quotient: dict = {}
     while work:
         lm, lc = work.pop_leading()
@@ -642,11 +628,11 @@ def divides(b: Polynomial, a: Polynomial) -> bool:
     return try_exact_div(a, b) is not None
 
 
-def monic(p: Polynomial, key=grevlex_key) -> Polynomial:
+def monic(p: Polynomial) -> Polynomial:
     """Normalize leading coefficient to 1; the zero polynomial stays zero."""
     if p.is_zero():
         return p
-    lc = p.leading_coefficient(key)
+    lc = p.leading_coefficient()
     if lc == p.field.one:
         return p
     return p.scale(p.field.inv(lc))

@@ -1,9 +1,10 @@
 """Buchberger's algorithm, reduced Groebner bases, and ideal/radical membership.
 
-The S-pair loop uses the product and chain criteria with the normal
-selection strategy (smallest lcm degree first, ties by index pair), and the
-final basis is inter-reduced and monic, hence canonical for the ideal and
-order.  That selection order is kept by a heap of pairs, each keyed once on
+The monomial order is fixed: graded reverse lexicographic, the order of
+`exactalg`.  The S-pair loop uses the product and chain criteria with the
+normal selection strategy (smallest lcm degree first, ties by index pair),
+and the final basis is inter-reduced and monic, hence canonical for the
+ideal.  That selection order is kept by a heap of pairs, each keyed once on
 insertion; division likewise takes leading terms from a heap of the working
 polynomial's monomials (`TermQueue`), so every S-polynomial and remainder is
 the one a scan over all pairs or all terms would pick.  Radical membership
@@ -21,10 +22,7 @@ from .exactalg import (
     Field,
     Polynomial,
     TermQueue,
-    grevlex_desc_key,
     grevlex_key,
-    lex_desc_key,
-    lex_key,
     monic,
     monomial_degree,
     monomial_div,
@@ -34,45 +32,15 @@ from .exactalg import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A monomial order on a fixed number of variables."""
-
-    nvars: int
-    kind: str = "grevlex"
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-
-    @property
-    def key(self):
-        return grevlex_key if self.kind == "grevlex" else lex_key
-
-    @property
-    def desc_key(self):
-        """Key under which a min-heap pops the largest monomial first."""
-        return grevlex_desc_key if self.kind == "grevlex" else lex_desc_key
-
-
-def _default_order(p: Polynomial) -> MonomialOrder:
-    return MonomialOrder(p.nvars)
-
-
-def normal_form(f: Polynomial, divisors: Sequence[Polynomial],
-                order: Optional[MonomialOrder] = None) -> Polynomial:
+def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of ``f`` by the listed divisors.
 
     Divisors are tried in list order, so the result is deterministic; no
     term of the result is divisible by any divisor's leading term.
     """
-    if order is None:
-        order = _default_order(f)
-    key = order.key
     field = f.field
-    table = [(*g.leading_term(key), g.terms)
-             for g in divisors if not g.is_zero()]
-    work = TermQueue(f.terms, field, order.desc_key)
+    table = [(*g.leading_term(), g.terms) for g in divisors if not g.is_zero()]
+    work = TermQueue(f.terms, field)
     remainder: dict = {}
     while work:
         lm, lc = work.pop_leading()
@@ -86,14 +54,10 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial],
     return Polynomial._raw(f.nvars, field, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial,
-                 order: Optional[MonomialOrder] = None) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial, with both leading terms scaled to cancel."""
-    if order is None:
-        order = _default_order(f)
-    key = order.key
-    flm, flc = f.leading_term(key)
-    glm, glc = g.leading_term(key)
+    flm, flc = f.leading_term()
+    glm, glc = g.leading_term()
     lcm = monomial_lcm(flm, glm)
     field = f.field
     mf = Polynomial._raw(f.nvars, field,
@@ -105,10 +69,9 @@ def s_polynomial(f: Polynomial, g: Polynomial,
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis; canonical for its ideal and order."""
+    """A reduced Groebner basis; canonical for its ideal."""
 
     polys: tuple
-    order: MonomialOrder
 
     def __iter__(self):
         return iter(self.polys)
@@ -117,7 +80,7 @@ class GroebnerBasis:
         return len(self.polys)
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.polys, self.order)
+        return normal_form(f, self.polys)
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()
@@ -126,28 +89,15 @@ class GroebnerBasis:
         return any(g.is_constant() and not g.is_zero() for g in self.polys)
 
 
-def buchberger(generators: Iterable[Polynomial],
-               order: Optional[MonomialOrder] = None,
-               nvars: Optional[int] = None,
-               field: Optional[Field] = None) -> GroebnerBasis:
+def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by the generators."""
     gens = [monic(g) for g in generators if not g.is_zero()]
-    if not gens:
-        if order is None:
-            if nvars is None or field is None:
-                raise ValueError("empty generating set needs nvars and order data")
-            order = MonomialOrder(nvars)
-        return GroebnerBasis((), order)
-    if order is None:
-        order = _default_order(gens[0])
-    key = order.key
-
     basis = []
     lms = []
     for g in gens:
         if g not in basis:
             basis.append(g)
-            lms.append(g.leading_monomial(key))
+            lms.append(g.leading_monomial())
     # Pairs wait in a heap ordered by (lcm degree, i, j); ``pairs`` holds
     # the ones still queued, which the chain criterion asks about.
     queue = []
@@ -179,38 +129,31 @@ def buchberger(generators: Iterable[Polynomial],
                     break
         if skip:
             continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j], order),
-                                basis, order)
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero():
             continue
-        remainder = monic(remainder, key)
+        remainder = monic(remainder)
         basis.append(remainder)
-        lms.append(remainder.leading_monomial(key))
+        lms.append(remainder.leading_monomial())
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)
 
     # minimalize: drop elements whose leading monomial another one divides
-    order_by_lm = sorted(range(len(basis)), key=lambda i: key(lms[i]))
+    order_by_lm = sorted(range(len(basis)), key=lambda i: grevlex_key(lms[i]))
     kept = []
     for i in order_by_lm:
         if not any(monomial_divides(lms[k], lms[i]) for k in kept):
             kept.append(i)
     reduced = [basis[i] for i in kept]
 
-    # inter-reduce to the unique reduced basis (iterate to a fixpoint)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(reduced)):
-            others = reduced[:i] + reduced[i + 1:]
-            r = monic(normal_form(reduced[i], others, order), key)
-            if r != reduced[i]:
-                reduced[i] = r
-                changed = True
+    # inter-reduce to the unique reduced basis: reduction keeps every leading
+    # monomial of a minimal basis, so one pass leaves no reducible term
+    for i in range(len(reduced)):
+        reduced[i] = monic(normal_form(reduced[i], reduced[:i] + reduced[i + 1:]))
 
-    reduced.sort(key=lambda g: key(g.leading_monomial(key)), reverse=True)
-    return GroebnerBasis(tuple(reduced), order)
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()), reverse=True)
+    return GroebnerBasis(tuple(reduced))
 
 
 class Ideal:
@@ -235,16 +178,11 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def groebner(self, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
-        """Reduced Groebner basis; the default (grevlex) run is cached."""
-        if order is None or order == MonomialOrder(self.nvars):
-            if self._groebner is None:
-                self._groebner = buchberger(
-                    self.generators, MonomialOrder(self.nvars),
-                    nvars=self.nvars, field=self.field)
-            return self._groebner
-        return buchberger(self.generators, order, nvars=self.nvars,
-                          field=self.field)
+    def groebner(self) -> GroebnerBasis:
+        """Reduced Groebner basis, computed once and cached."""
+        if self._groebner is None:
+            self._groebner = buchberger(self.generators)
+        return self._groebner
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -281,5 +219,5 @@ def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     one = Polynomial.one(ext, f.field)
     lifted = [g.extend(ext) for g in gb.polys]
     lifted.append(one - t * f.extend(ext))
-    result = buchberger(lifted, MonomialOrder(ext))
+    result = buchberger(lifted)
     return result.contains_one()

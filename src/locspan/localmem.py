@@ -276,13 +276,18 @@ def span_over_fractions(subspace: LinearSubspace, target=None) -> Optional[Crame
 def verify_witness_bounds(witness: CramerWitness, subspace: LinearSubspace,
                           target=None) -> WitnessBoundsReport:
     """Re-check a Cramer witness: identity, degree/coprimality shape, and
-    divisibility of every maximal basis minor by the denominator lcm."""
+    divisibility of every maximal basis minor by the denominator lcm.
+
+    The identity holds only if the basis minor on ``index_set`` is nonzero,
+    as Cramer's rule on those rows needs.
+    """
     target = _validate_target(subspace, target)
     n, d = subspace.nvars, subspace.dim
     field = subspace.field
     m = witness.denominator_lcm
+    q = subspace.basis_matrix
 
-    identity_ok = True
+    identity_ok = not q.submatrix(witness.index_set, range(d)).det().is_zero()
     for comp in range(n):
         lhs = Polynomial.zero(n, field)
         for j, lam in enumerate(witness.lambdas):
@@ -317,7 +322,6 @@ def verify_witness_bounds(witness: CramerWitness, subspace: LinearSubspace,
             fractions_ok = False
 
     divisibility_ok = True
-    q = subspace.basis_matrix
     for rows in itertools.combinations(range(n), d):
         det = q.submatrix(rows, range(d)).det()
         if try_exact_div(det, m) is None:

@@ -7,6 +7,7 @@ import pytest
 
 from locspan import QQ, PrimeField, local_only_example, fraction_span_only_example
 from locspan.cli import (
+    MAX_PARSE_DEPTH,
     InstanceFile,
     ParseError,
     instance_from_matrix_subspace,
@@ -278,6 +279,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["decide-span-f", "--input", huge])
     assert code == 2 and "cap" in err
 
+    line = "q1 = [" + "(" * 3000 + "y1" + ")" * 3000 + ", y2, y3]"
+    deep = _write_instance(
+        tmp_path, f"field Q\nn 3\nkind linear-subspace\n{line}\nend\n",
+        "deep.txt")
+    code, out, err = _run(capsys, ["decide-span-f", "--input", deep])
+    col = line.index("(") + MAX_PARSE_DEPTH + 1
+    assert code == 2 and not out and f"line 4, col {col}: nesting" in err
+
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 100000)
+    code, out, err = _run(capsys, ["verify", "--input", str(deep_json)])
+    assert code == 2 and not out and err.startswith("error: ")
+
 
 def _verify_file(capsys, tmp_path, report):
     path = tmp_path / "report.json"
@@ -386,6 +400,14 @@ def test_parser_budget_refuses_expansions_before_they_run(tmp_path, capsys):
         with pytest.raises(ParseError, match="budget"):
             parse_polynomial(text, n, QQ)
         assert time.monotonic() - started < 1.0
+    # parentheses and the signs of factors nest up to MAX_PARSE_DEPTH; the
+    # sign that opens an expression does not recurse and is not counted
+    half = MAX_PARSE_DEPTH // 2
+    nested = "(" * half + "-" * (half + 1) + "y1" + ")" * half
+    assert parse_polynomial(nested, 1, QQ) == parse_polynomial("-y1", 1, QQ)
+    with pytest.raises(ParseError, match="nesting") as info:
+        parse_polynomial("(" + nested + ")", 1, QQ)
+    assert info.value.col == 2 * half + 2
     # within the budget everything still expands
     assert parse_polynomial("(y1 - y1)^1000000 + (y1+y2)^2 - y1^2 - y2^2",
                             2, QQ) == parse_polynomial("2*y1*y2", 2, QQ)
@@ -449,6 +471,20 @@ def test_every_witness_report_passes_verify(capsys, monkeypatch, tmp_path):
         code, out, _ = _run(capsys, ["verify", "--input", str(path), "--json"])
         assert code == 0
         assert json.loads(out)["outcome"] is True, (argv, out)
+
+
+def test_verify_checks_the_cramer_index_set(capsys, monkeypatch, tmp_path):
+    text = instance_from_subspace(local_only_example(5, 4)).canonical_text()
+    report = _report_for(capsys, monkeypatch, ["decide-span-l"], text)
+    assert report["witness"]["index_set"] == [1, 2, 4, 5]
+    assert all(verify_report(report).values())
+    # rows 1..4 have a zero basis minor: Cramer's rule does not apply there
+    report["witness"]["index_set"] = [1, 2, 3, 4]
+    assert verify_report(report)["identity_holds"] is False
+    for index_set in ([1, 1, 1, 1], [2, 1, 4, 5], [1, 2, 4]):
+        report["witness"]["index_set"] = index_set
+        code, out, err = _verify_file(capsys, tmp_path, report)
+        assert code == 2 and not out and "index_set" in err, index_set
 
 
 def test_verify_rejects_tampered_witness(capsys, monkeypatch):
