@@ -43,7 +43,6 @@ from .exactalg import (
     PrimeField,
     RationalFunction,
     format_polynomial,
-    poly_lcm,
 )
 from .groebner import radical_membership
 from .localmem import (
@@ -53,7 +52,9 @@ from .localmem import (
     LinearSubspace,
     MinorFailure,
     PointFailure,
+    combination,
     common_nullvector,
+    denominator_lcm,
     local_membership_closure,
     local_membership_points,
     local_only_example,
@@ -657,10 +658,7 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict):
     cramer = CramerWitness(index_set, tuple(map(RationalFunction, nums, dens)), m)
     bounds = verify_witness_bounds(cramer, subspace)
     checks["identity_holds"] = bounds.identity_ok
-    recomputed_m = Polynomial.one(subspace.nvars, subspace.field)
-    for lam in cramer.lambdas:
-        recomputed_m = poly_lcm(recomputed_m, lam.denominator)
-    checks["m_is_denominator_lcm"] = recomputed_m == cramer.denominator_lcm
+    checks["m_is_denominator_lcm"] = denominator_lcm(cramer.lambdas) == m
     return bounds
 
 
@@ -704,12 +702,8 @@ def verify_report(report: dict) -> dict:
     if command == "decide-span-f" and witness:
         subspace = _instance(instance).to_linear_subspace()
         coeffs = _parse_vector(witness, "coefficients", subspace.field)
-        combination = tuple(
-            sum((vec[comp].scale(c) for c, vec in zip(coeffs, subspace.basis)),
-                Polynomial.zero(subspace.nvars, subspace.field))
-            for comp in range(subspace.nvars))
         checks["combination_matches_target"] = \
-            combination == subspace.coordinate_target()
+            combination(subspace, coeffs) == subspace.coordinate_target()
     elif command in ("decide-span-l", "witness-bounds") and witness:
         bounds = _check_cramer(_instance(instance).to_linear_subspace(),
                                witness, checks)

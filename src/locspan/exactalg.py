@@ -346,9 +346,6 @@ class Polynomial:
     def leading_coefficient(self):
         return self.leading_term()[1]
 
-    def coefficient_of(self, mono) -> object:
-        return self.terms.get(tuple(mono), self.field.zero)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Polynomial"):

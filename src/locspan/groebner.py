@@ -73,17 +73,8 @@ class GroebnerBasis:
 
     polys: tuple
 
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self):
-        return len(self.polys)
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.polys)
-
     def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero()
+        return normal_form(f, self.polys).is_zero()
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.polys)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -24,6 +24,7 @@ from .exactalg import (
     Field,
     Polynomial,
     PrimeField,
+    RationalFunction,
     coordinate_vector,
     poly_gcd,
     poly_lcm,
@@ -115,11 +116,19 @@ class LinearSubspace:
         return self.basis_matrix.rank_over_fractions()
 
     def coordinate_target(self) -> tuple:
+        """The coordinate vector y = (y1, ..., yn) every decision asks about."""
         return coordinate_vector(self.nvars, self.field)
 
-    def augmented_matrix(self, target: Optional[Sequence[Polynomial]] = None) -> PolyMatrix:
-        target = self.coordinate_target() if target is None else tuple(target)
-        return self.basis_matrix.augment(target)
+    def augmented_matrix(self) -> PolyMatrix:
+        """The basis matrix with y appended as its last column."""
+        return self.basis_matrix.augment(self.coordinate_target())
+
+    @cached_property
+    def coefficient_system(self) -> ScalarMatrix:
+        """The n^2 x d matrix whose column i lists the entries of ``B_i``."""
+        return ScalarMatrix.from_columns(
+            [[x for row in b.entries for x in row] for b in self.coeff_matrices],
+            self.field)
 
     def __repr__(self):
         return (f"LinearSubspace(n={self.nvars}, d={self.dim}, "
@@ -128,7 +137,7 @@ class LinearSubspace:
 
 @dataclass(frozen=True)
 class CramerWitness:
-    """Fraction coefficients expressing a target in the span.
+    """Fraction coefficients expressing y in the span.
 
     ``index_set`` is the 0-based row set whose basis minor was used as the
     Cramer denominator; ``lambdas`` are the reduced coefficients and
@@ -199,52 +208,45 @@ def has_free_rank(subspace: LinearSubspace) -> bool:
     return subspace.fraction_rank == subspace.dim
 
 
-def _validate_target(subspace: LinearSubspace, target) -> tuple:
-    if target is None:
-        return subspace.coordinate_target()
-    target = tuple(target)
-    if len(target) != subspace.nvars:
-        raise ValueError("target has the wrong number of components")
-    for comp in target:
-        subspace.basis[0][0]._check(comp)
-        if not _is_linear_form(comp):
-            raise ValueError(f"target component {comp} is not a linear form")
-    return target
+def combination(subspace: LinearSubspace, coefficients: Sequence) -> tuple:
+    """The vector ``sum_j c_j q_j`` for scalar or polynomial ``c_j``."""
+    zero = Polynomial.zero(subspace.nvars, subspace.field)
+    return tuple(sum((q[comp] * c for c, q in zip(coefficients, subspace.basis)),
+                     zero)
+                 for comp in range(subspace.nvars))
 
 
-def span_over_field(subspace: LinearSubspace, target=None) -> Optional[tuple]:
-    """Base-field coefficients with ``target = sum c_i q_i``, or None.
+def denominator_lcm(lambdas: Sequence[RationalFunction]) -> Polynomial:
+    """The lcm of the denominators, folded from 1 so that it is monic."""
+    first = lambdas[0].denominator
+    return reduce(poly_lcm, (lam.denominator for lam in lambdas),
+                  Polynomial.one(first.nvars, first.field))
 
-    Solved as a linear system over the coefficient matrices; when a
+
+def span_over_field(subspace: LinearSubspace) -> Optional[tuple]:
+    """Base-field coefficients with ``y = sum c_i q_i``, or None.
+
+    Solved as ``sum c_i B_i = I`` over the coefficient matrices; when a
     solution exists the one with free variables set to 0 is returned.
     """
-    target = _validate_target(subspace, target)
-    field = subspace.field
-    n = subspace.nvars
-    target_rows = [_linear_coefficients(comp) for comp in target]
-    system = []
-    rhs = []
-    for r in range(n):
-        for c in range(n):
-            system.append([subspace.coeff_matrices[i][r, c]
-                           for i in range(subspace.dim)])
-            rhs.append(target_rows[r][c])
-    return solve_over_field(ScalarMatrix(system, field), rhs)
+    identity = ScalarMatrix.identity(subspace.nvars, subspace.field)
+    return solve_over_field(subspace.coefficient_system,
+                            [x for row in identity.entries for x in row])
 
 
-def span_over_fractions(subspace: LinearSubspace, target=None) -> Optional[CramerWitness]:
-    """Cramer witness for membership of the target in the fraction-field span.
+def span_over_fractions(subspace: LinearSubspace) -> Optional[CramerWitness]:
+    """Cramer witness for membership of y in the fraction-field span.
 
     Requires an independent spanning set (`has_free_rank`).  The first row
     set (lexicographically) with a nonzero maximal minor is used; the
     candidate coefficients are verified on all components, so None means
-    the target genuinely lies outside the span.
+    y genuinely lies outside the span.
     """
-    target = _validate_target(subspace, target)
     if not has_free_rank(subspace):
         raise ValueError("spanning vectors are dependent over the fraction field")
     n, d = subspace.nvars, subspace.dim
     q = subspace.basis_matrix
+    y = subspace.coordinate_target()
     index_set = None
     det_q = None
     for rows in itertools.combinations(range(n), d):
@@ -255,50 +257,35 @@ def span_over_fractions(subspace: LinearSubspace, target=None) -> Optional[Crame
             det_q = det
             square = candidate
             break
-    target_part = [target[i] for i in index_set]
-    numerators = []
-    for j in range(d):
-        numerators.append(square.with_column(j, target_part).det())
-    # verify sum_j mu_j q_j = det * target componentwise (clears denominators)
-    for comp in range(n):
-        lhs = Polynomial.zero(subspace.nvars, subspace.field)
-        for j in range(d):
-            lhs = lhs + numerators[j] * subspace.basis[j][comp]
-        if lhs != det_q * target[comp]:
-            return None
+    target_part = [y[i] for i in index_set]
+    numerators = [square.with_column(j, target_part).det() for j in range(d)]
+    # sum_j mu_j q_j = det * y clears the denominators of the check
+    if combination(subspace, numerators) != tuple(det_q * comp for comp in y):
+        return None
     lambdas = tuple(reduce_fraction(mu, det_q) for mu in numerators)
-    lcm = Polynomial.one(subspace.nvars, subspace.field)
-    for lam in lambdas:
-        lcm = poly_lcm(lcm, lam.denominator)
-    return CramerWitness(index_set, lambdas, lcm)
+    return CramerWitness(index_set, lambdas, denominator_lcm(lambdas))
 
 
-def verify_witness_bounds(witness: CramerWitness, subspace: LinearSubspace,
-                          target=None) -> WitnessBoundsReport:
+def verify_witness_bounds(witness: CramerWitness,
+                          subspace: LinearSubspace) -> WitnessBoundsReport:
     """Re-check a Cramer witness: identity, degree/coprimality shape, and
     divisibility of every maximal basis minor by the denominator lcm.
 
     The identity holds only if the basis minor on ``index_set`` is nonzero,
     as Cramer's rule on those rows needs.
     """
-    target = _validate_target(subspace, target)
     n, d = subspace.nvars, subspace.dim
     field = subspace.field
     m = witness.denominator_lcm
     q = subspace.basis_matrix
 
-    identity_ok = not q.submatrix(witness.index_set, range(d)).det().is_zero()
-    for comp in range(n):
-        lhs = Polynomial.zero(n, field)
-        for j, lam in enumerate(witness.lambdas):
-            cofactor = try_exact_div(m, lam.denominator)
-            if cofactor is None:
-                identity_ok = False
-                break
-            lhs = lhs + lam.numerator * cofactor * subspace.basis[j][comp]
-        if not identity_ok or lhs != m * target[comp]:
-            identity_ok = False
-            break
+    index_minor = q.submatrix(witness.index_set, range(d)).det()
+    cofactors = [try_exact_div(m, lam.denominator) for lam in witness.lambdas]
+    identity_ok = (
+        not index_minor.is_zero() and all(c is not None for c in cofactors)
+        and combination(subspace, [lam.numerator * c for lam, c
+                                   in zip(witness.lambdas, cofactors)])
+        == tuple(m * comp for comp in subspace.coordinate_target()))
 
     fractions_ok = True
     degrees = []
@@ -429,20 +416,19 @@ def incidence_ideal(subspace: LinearSubspace) -> Ideal:
 def pencil_coefficients(subspace: LinearSubspace) -> list:
     """Scalar matrices A_1..A_n with ``[q_1 .. q_{n-1} | y] = sum y_j A_j``.
 
-    Only defined when the subspace has exactly n - 1 spanning vectors.
+    Only defined when the subspace has exactly n - 1 spanning vectors that
+    are independent over the field.  Column c < d of ``A_j`` holds the
+    ``y_j`` coefficients of ``q_c``, and column d is ``e_j``.
     """
     n, d = subspace.nvars, subspace.dim
     if d != n - 1:
         raise ValueError("pencil decomposition needs exactly n - 1 vectors")
-    augmented = subspace.augmented_matrix()
-    field = subspace.field
-    out = []
-    for j in range(n):
-        mono = tuple(1 if i == j else 0 for i in range(n))
-        out.append(ScalarMatrix(
-            [[augmented[r, c].coefficient_of(mono) for c in range(n)]
-             for r in range(n)], field))
-    return out
+    if rank(subspace.coefficient_system) < d:
+        raise ValueError("spanning vectors are dependent over the field")
+    identity = ScalarMatrix.identity(n, subspace.field)
+    return [ScalarMatrix.from_columns(
+        [b.column(j) for b in subspace.coeff_matrices] + [identity.column(j)],
+        subspace.field) for j in range(n)]
 
 
 def common_nullvector(matrices: Sequence[ScalarMatrix]) -> Optional[tuple]:

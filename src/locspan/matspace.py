@@ -70,13 +70,9 @@ class MatrixSubspace:
     def contains(self, matrix: ScalarMatrix) -> bool:
         if not self.basis:
             return all(x == self.field.zero for row in matrix.entries for x in row)
-        stacked = [_vectorize(b) for b in self.basis]
-        target = _vectorize(matrix)
-        field = self.field
-        system = ScalarMatrix(
-            [[stacked[j][i] for j in range(len(stacked))]
-             for i in range(self.n * self.n)], field, cols=len(stacked))
-        return solve_over_field(system, target) is not None
+        system = ScalarMatrix.from_columns([_vectorize(b) for b in self.basis],
+                                           self.field)
+        return solve_over_field(system, _vectorize(matrix)) is not None
 
     def same_subspace(self, other: "MatrixSubspace") -> bool:
         if self.n != other.n or self.field != other.field or self.dim != other.dim:
@@ -185,7 +181,8 @@ def find_rank1_idempotent(subspace: MatrixSubspace,
     Scans u over projective representatives (first nonzero coordinate 1)
     and, per u, all v with v^T u = 1, in lexicographic order; the first
     pair whose outer product lies in the subspace wins.  Membership is a
-    handful of dot products against precomputed complement constraints.
+    handful of dot products against the complement: ``u v^T`` lies in the
+    subspace iff ``v^T x u = 0`` for every ``x`` in its `perp`.
     """
     field = subspace.field
     if not isinstance(field, PrimeField):
@@ -195,13 +192,9 @@ def find_rank1_idempotent(subspace: MatrixSubspace,
     if p ** (2 * n) > budget:
         raise BudgetExceededError(
             f"{p}^{2 * n} candidates exceed the budget of {budget}")
-    # u v^T lies in the subspace iff u^T C v = 0 for each constraint C
-    stacked = ScalarMatrix([_vectorize(b) for b in subspace.basis], field,
-                           cols=n * n)
-    constraint_mats = [_unvectorize(c, n, field)
-                       for c in nullspace_over_field(stacked)]
+    complement = perp(subspace).basis
     for u in _projective_representatives(p, n):
-        rows = [tuple(c.transpose().matvec(u)) for c in constraint_mats]
+        rows = [x.matvec(u) for x in complement]
         for v in itertools.product(range(p), repeat=n):
             if sum(x * y for x, y in zip(u, v)) % p != 1:
                 continue

@@ -54,16 +54,8 @@ class ScalarMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            [[self.entries[i][j] for i in range(self.rows)]
-             for j in range(self.cols)], self.field, cols=self.rows)
 
     def trace(self):
         if self.rows != self.cols:
@@ -243,9 +235,6 @@ class PolyMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
 
@@ -272,30 +261,10 @@ class PolyMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        zero = Polynomial.zero(self.nvars, self.field)
-        one = Polynomial.one(self.nvars, self.field)
-        if n == 1:
-            return self.entries[0][0]
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = one
-        for k in range(n - 1):
-            pivot = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-            if pivot is None:
-                return zero
-            if pivot != k:
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    # exact by the Bareiss/Sylvester identity
-                    a[i][j] = exact_div(num, prev)
-                a[i][k] = zero
-            prev = a[k][k]
-        result = a[n - 1][n - 1]
-        return -result if sign < 0 else result
+        r, sign, last_pivot = self._bareiss(square=True)
+        if r < self.rows:
+            return Polynomial.zero(self.nvars, self.field)
+        return -last_pivot if sign < 0 else last_pivot
 
     def minors(self, s: int) -> list:
         """All s x s minors with their index sets, lexicographic in (rows, cols)."""
@@ -310,33 +279,44 @@ class PolyMatrix:
         return out
 
     def rank_over_fractions(self) -> int:
-        """Rank over the fraction field, by fraction-free elimination.
+        """Rank over the fraction field, by fraction-free elimination."""
+        return self._bareiss(square=False)[0]
 
-        Pivot rule: first nonzero entry in a row-major scan of the
-        remaining submatrix, so runs are reproducible.
+    def _bareiss(self, square: bool) -> tuple:
+        """Fraction-free (Bareiss) elimination on a copy of the entries.
+
+        Pivot rule: the first nonzero entry at or below the current row in
+        the current column, so runs are reproducible.  Returns the rank, the
+        sign of the row permutation and the last pivot (the determinant up
+        to sign when the rank is full).  With ``square`` it stops at the
+        first column without a pivot, where the determinant is already 0.
         """
         a = [list(row) for row in self.entries]
-        one = Polynomial.one(self.nvars, self.field)
         zero = Polynomial.zero(self.nvars, self.field)
-        prev = one
+        prev = Polynomial.one(self.nvars, self.field)
+        sign = 1
         r = 0
         for c in range(self.cols):
             pivot = next((i for i in range(r, self.rows) if not a[i][c].is_zero()),
                          None)
             if pivot is None:
+                if square:
+                    break
                 continue
             if pivot != r:
                 a[r], a[pivot] = a[pivot], a[r]
+                sign = -sign
             for i in range(r + 1, self.rows):
                 for j in range(c + 1, self.cols):
                     num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
+                    # exact by the Bareiss/Sylvester identity
                     a[i][j] = exact_div(num, prev)
                 a[i][c] = zero
             prev = a[r][c]
             r += 1
             if r == self.rows:
                 break
-        return r
+        return r, sign, prev
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and self.entries == other.entries)

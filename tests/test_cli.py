@@ -292,6 +292,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, ["verify", "--input", str(deep_json)])
     assert code == 2 and not out and err.startswith("error: ")
 
+    # a pencil of vectors dependent over the field has no null vector to scale
+    for n, lines in ((3, "q1 = [y1, 0, 0]\nq2 = [2*y1, 0, 0]\n"),
+                     (4, "q1 = [y1, 0, 0, 0]\nq2 = [2*y1, 0, 0, 0]\n"
+                         "q3 = [y1, y2, y3, y4]\n")):
+        dependent = _write_instance(
+            tmp_path, f"field Q\nn {n}\nkind linear-subspace\n{lines}end\n",
+            f"dependent{n}.txt")
+        code, out, err = _run(capsys, ["pencil", "--input", dependent])
+        assert code == 2 and not out and "dependent over the field" in err
+
 
 def _verify_file(capsys, tmp_path, report):
     path = tmp_path / "report.json"
@@ -492,6 +502,24 @@ def test_verify_rejects_tampered_witness(capsys, monkeypatch):
     report["witness"]["m"] = "y2"
     checks = verify_report(report)
     assert not all(checks.values())
+
+
+def test_verify_folds_the_denominator_lcm_from_one(capsys, monkeypatch):
+    # a non-monic denominator in a report still reduces to the monic lcm
+    text = instance_from_subspace(fraction_span_only_example(3)).canonical_text()
+    report = _report_for(capsys, monkeypatch, ["decide-span-l"], text)
+    assert report["witness"]["lambdas"][1] == {"num": "y2", "den": "y1"}
+    assert report["witness"]["m"] == "y1"
+    report["witness"]["lambdas"][1] = {"num": "2*y2", "den": "2*y1"}
+    checks = verify_report(report)
+    assert checks["identity_holds"] and checks["m_is_denominator_lcm"]
+    # with one lambda, only a fold that starts from 1 makes the lcm monic
+    single = "field Q\nn 2\nkind linear-subspace\nq1 = [y1, y2]\nend\n"
+    report = _report_for(capsys, monkeypatch, ["decide-span-l"], single)
+    assert report["witness"]["m"] == "1"
+    report["witness"]["lambdas"] = [{"num": "2", "den": "2"}]
+    assert verify_report(report) == {"identity_holds": True,
+                                     "m_is_denominator_lcm": True}
 
 
 def test_reports_are_deterministic(capsys, monkeypatch):

@@ -85,15 +85,6 @@ def test_span_over_field_trivial_cases():
     assert span_over_field(split) == (1, 1)
 
 
-def test_span_over_field_custom_target():
-    y1, y2, y3 = variables(3)
-    zero = Polynomial.zero(3, QQ)
-    subspace = LinearSubspace([(y1, zero, zero)])
-    assert span_over_field(subspace, (y1.scale(5), zero, zero)) == (5,)
-    with pytest.raises(ValueError):
-        span_over_field(subspace, (y1 * y1, zero, zero))
-
-
 # -- span over the fraction field ---------------------------------------------
 
 def test_span_over_fractions_golden():

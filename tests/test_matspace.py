@@ -1,5 +1,6 @@
 """Flat correspondence, trace pairing, complements, rank-1 idempotents."""
 
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,8 @@ from locspan import (
     trace_pairing,
     unflat,
 )
+
+from locspan.polymat import outer_product
 
 from support import random_subspace, subspace_containing_target, variables
 
@@ -211,6 +214,42 @@ def test_bruteforce_budget_and_field_checks():
         find_rank1_idempotent(span, budget=3)
     with pytest.raises(ValueError):
         find_rank1_idempotent(MatrixSubspace([_unit_matrix(0, 0, 2)]))
+
+
+def _scan_for_idempotent(subspace):
+    """Reference search: the first (u, v), u projective with first nonzero
+    coordinate 1 and v . u = 1, whose outer product the subspace contains."""
+    p, n = subspace.field.p, subspace.n
+    for u in itertools.product(range(p), repeat=n):
+        if next((x for x in u if x), None) != 1:
+            continue
+        for v in itertools.product(range(p), repeat=n):
+            if (sum(a * b for a, b in zip(u, v)) % p == 1
+                    and subspace.contains(outer_product(u, v, subspace.field))):
+                return Rank1Idempotent(u, v)
+    return None
+
+
+def test_bruteforce_matches_a_plain_scan():
+    rng = random.Random(61)
+    results = []
+    for p, n, count in ((3, 2, 12), (5, 2, 12), (3, 3, 6), (5, 3, 3)):
+        field = PrimeField(p)
+        cases = [perp(MatrixSubspace([ScalarMatrix.identity(n, field)]))]
+        while len(cases) < count:
+            dim = rng.randint(1, n * n - 1)
+            basis = [ScalarMatrix([[rng.randrange(p) for _ in range(n)]
+                                   for _ in range(n)], field)
+                     for _ in range(dim)]
+            try:
+                cases.append(MatrixSubspace(basis))
+            except ValueError:
+                continue  # dependent draw
+        for subspace in cases:
+            expected = _scan_for_idempotent(subspace)
+            assert find_rank1_idempotent(subspace) == expected
+            results.append(expected is not None)
+    assert any(results) and not all(results)
 
 
 def test_bruteforce_witness_is_in_subspace():

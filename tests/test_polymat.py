@@ -14,9 +14,11 @@ from locspan import (
     local_only_example,
     fraction_span_only_example,
     nullspace_over_field,
+    polymat,
     rank,
     solve_over_field,
 )
+from locspan.exactalg import exact_div
 
 from support import cofactor_det, random_polynomial, variables
 
@@ -72,6 +74,24 @@ def test_minors_golden_maximal_of_family_matrix():
     assert values[(1, 2, 3)] == y1 ** 2 * y2
     for rows, _, det in q.minors(3):
         assert det == cofactor_det(q.submatrix(rows, range(3)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_det_stops_at_the_first_column_without_pivot(monkeypatch, n):
+    # column 2 is 3 * column 1, so after the (n-1)^2 divisions of the first
+    # step column 2 has no pivot and the determinant is 0 with no more work
+    y = variables(n)
+    rows = [[y[i], y[i].scale(3)] + [y[(i + k) % n] + y[k] for k in range(2, n)]
+            for i in range(n)]
+    calls = []
+
+    def counting_div(num, prev):
+        calls.append(prev)
+        return exact_div(num, prev)
+
+    monkeypatch.setattr(polymat, "exact_div", counting_div)
+    assert PolyMatrix(rows).det().is_zero()
+    assert len(calls) == (n - 1) ** 2
 
 
 def test_rank_over_fractions():
