@@ -19,7 +19,6 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     buchberger,
-    ideal_membership,
     normal_form,
     radical_membership,
 )
@@ -34,7 +33,6 @@ from .localmem import (
     common_nullvector,
     fraction_span_only_example,
     has_free_rank,
-    incidence_ideal,
     local_membership_closure,
     local_membership_points,
     local_only_example,

@@ -73,7 +73,6 @@ from .matspace import (
     find_rank1_idempotent,
     is_rank1_idempotent_free,
     is_subspace_of_tracezero,
-    outer_product,
     perp,
     trace_pairing,
 )
@@ -109,11 +108,14 @@ def _tokenize(text: str, line: int):
 
 #: The parser's work budget: a product or power whose result would exceed this
 #: degree, term count or (powers only) coefficient size is a `ParseError`,
-#: and so is nesting of parentheses and unary minus past this depth.
+#: and so is nesting of parentheses and unary minus past this depth.  An
+#: ambient dimension n past `MAX_DIMENSION` (an ``n`` line, ``example --n``)
+#: is refused before anything of size n is built.
 MAX_PARSE_DEGREE = 32
 MAX_PARSE_TERMS = 2_000
 MAX_PARSE_BITS = 1 << 16
 MAX_PARSE_DEPTH = 100
+MAX_DIMENSION = 64
 
 
 class _ExprParser:
@@ -199,11 +201,12 @@ class _ExprParser:
                                  self.line, tok[2])
             k = int(tok[1])
             t = len(value.terms)
-            # a t-term polynomial to the k has at most C(t+k-1, k) terms
+            # a t-term polynomial to the k has at most C(t+k-1, k) terms;
+            # t > 1 means degree > 0, so once the degree passes k is small
             bits = max((c.numerator.bit_length() + c.denominator.bit_length()
                         for c in value.terms.values()), default=0)
-            self.check_budget(caret, value.total_degree() * k,
-                              comb(t + k - 1, k) if t else 0, k * bits)
+            self.check_budget(caret, value.total_degree() * k, 0, k * bits)
+            self.check_budget(caret, 0, comb(t + k - 1, k) if t else 0)
             value = value ** k
         return value
 
@@ -334,6 +337,8 @@ def parse_instance(text: str) -> InstanceFile:
             ended = True
             break
         head, rest = (line.split(None, 1) + [""])[:2]
+        if head in ("field", "n", "kind") and labels:
+            raise ParseError(f"{head} must precede basis lines", lineno, 1)
         if head == "field":
             words = rest.split()
             if words[:1] == ["Q"] and len(words) == 1:
@@ -353,6 +358,8 @@ def parse_instance(text: str) -> InstanceFile:
                 raise ParseError(f"bad dimension {rest!r}", lineno, 3)
             if nvars < 1:
                 raise ParseError("n must be positive", lineno, 3)
+            if nvars > MAX_DIMENSION:
+                raise ParseError(f"n exceeds the cap of {MAX_DIMENSION}", lineno, 3)
             continue
         if head == "kind":
             kind = rest.strip()
@@ -665,9 +672,14 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict):
 def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
     """Re-check a failing minor, or a rank jump at a point, of ``subspace``."""
     if _entry(failure, "method", str) == "closure_radical":
-        s = _entry(failure, "stratum", int)
+        s = failure.get("stratum")
         rows = _indices(failure, "rows", subspace.nvars)
         cols = _indices(failure, "cols", subspace.dim + 1)
+        # s rows and s <= d + 1 columns, the target column d + 1 among them
+        if (type(s) is not int or subspace.dim not in cols
+                or not len(rows) == s == len(cols) <= subspace.dim + 1):
+            raise ValueError("malformed report: 'stratum' must be the size of "
+                             "a minor on the target column")
         reported = _parse_poly(failure, "minor", subspace)
         actual = subspace.augmented_matrix().submatrix(rows, cols).det()
         checks["minor_matches"] = actual == reported
@@ -683,7 +695,7 @@ def _check_idempotent(subspace: MatrixSubspace, payload, checks: dict):
     field = subspace.field
     u = _parse_vector(payload, "u", field)
     v = _parse_vector(payload, "v", field)
-    idempotent = outer_product(u, v, field)
+    idempotent = Rank1Idempotent(u, v).matrix(field)
     checks["normalized"] = idempotent.trace() == field.one  # v^T u = 1
     checks["inside_subspace"] = subspace.contains(idempotent)
 
@@ -702,6 +714,8 @@ def verify_report(report: dict) -> dict:
     if command == "decide-span-f" and witness:
         subspace = _instance(instance).to_linear_subspace()
         coeffs = _parse_vector(witness, "coefficients", subspace.field)
+        if len(coeffs) != subspace.dim:
+            raise ValueError("malformed report: 'coefficients' must hold d entries")
         checks["combination_matches_target"] = \
             combination(subspace, coeffs) == subspace.coordinate_target()
     elif command in ("decide-span-l", "witness-bounds") and witness:
@@ -792,6 +806,8 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         if args.command == "example":
+            if args.n > MAX_DIMENSION:
+                raise ValueError(f"n exceeds the cap of {MAX_DIMENSION}")
             instance = instance_from_subspace(
                 local_only_example(args.n, args.d))
             if not args.json:

@@ -312,11 +312,6 @@ class Polynomial:
             return MINUS_INFINITY
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        """Whether all terms share one total degree (vacuously true for 0)."""
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
-
     def homogeneous_degree(self):
         """Common term degree; MINUS_INFINITY for zero, None if inhomogeneous."""
         degrees = {sum(m) for m in self.terms}
@@ -618,11 +613,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     if quo is None:
         raise ValueError("division is not exact")
     return quo
-
-
-def divides(b: Polynomial, a: Polynomial) -> bool:
-    """Whether ``b`` divides ``a`` exactly."""
-    return try_exact_div(a, b) is not None
 
 
 def monic(p: Polynomial) -> Polynomial:

@@ -180,15 +180,6 @@ class Ideal:
         return f"Ideal<{inside}>"
 
 
-def ideal_membership(f: Polynomial, ideal: Ideal) -> bool:
-    """Whether ``f`` lies in the ideal (normal form against the basis is 0)."""
-    if f.is_zero():
-        return True
-    if ideal.is_zero():
-        return False
-    return ideal.groebner().contains(f)
-
-
 def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     """Whether some power of ``f`` lies in the ideal.
 

@@ -32,7 +32,7 @@ from .exactalg import (
     try_exact_div,
 )
 from .groebner import Ideal, radical_membership
-from .polymat import PolyMatrix, ScalarMatrix, rank, solve_over_field, nullspace_over_field
+from .polymat import PolyMatrix, ScalarMatrix, nullspace_over_field, rank, rref, solve_over_field
 
 
 class BudgetExceededError(RuntimeError):
@@ -333,11 +333,13 @@ def stratum_ideal(subspace: LinearSubspace, s: int) -> Ideal:
 
 
 def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
-    """Ranks of the basis matrix and of the augmented matrix at ``point``."""
-    field = subspace.field
+    """Ranks of the basis matrix and of the augmented matrix at ``point``,
+    from one elimination: pivots come left to right, so the basis rank is
+    the number of pivots left of column d."""
     columns = [b.matvec(point) for b in subspace.coeff_matrices]
-    return (rank(ScalarMatrix.from_columns(columns, field)),
-            rank(ScalarMatrix.from_columns(columns + [tuple(point)], field)))
+    _, pivots = rref(ScalarMatrix.from_columns(columns + [tuple(point)],
+                                               subspace.field))
+    return sum(c < subspace.dim for c in pivots), len(pivots)
 
 
 def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
@@ -390,27 +392,6 @@ def local_membership_points(subspace: LinearSubspace,
                 holds=False, method="point_enumeration",
                 failure_witness=PointFailure(point, r_basis, r_aug))
     return LocalDecision(holds=True, method="point_enumeration")
-
-
-def incidence_ideal(subspace: LinearSubspace) -> Ideal:
-    """The ideal in F[y1..yn, c1..cd] cutting out (point, coefficients) pairs.
-
-    One generator per component j: ``c_1 q_{1,j} + ... + c_d q_{d,j} - y_j``.
-    Its vanishing locus projects onto exactly the points where the
-    coordinate vector lies in the evaluated span.
-    """
-    n, d = subspace.nvars, subspace.dim
-    ext = n + d
-    field = subspace.field
-    c_vars = [Polynomial.variable(n + i, ext, field) for i in range(d)]
-    y_vars = [Polynomial.variable(j, ext, field) for j in range(n)]
-    generators = []
-    for j in range(n):
-        g = Polynomial.zero(ext, field)
-        for i in range(d):
-            g = g + c_vars[i] * subspace.basis[i][j].extend(ext)
-        generators.append(g - y_vars[j])
-    return Ideal(generators, nvars=ext, field=field)
 
 
 def pencil_coefficients(subspace: LinearSubspace) -> list:

@@ -74,11 +74,6 @@ class MatrixSubspace:
                                            self.field)
         return solve_over_field(system, _vectorize(matrix)) is not None
 
-    def same_subspace(self, other: "MatrixSubspace") -> bool:
-        if self.n != other.n or self.field != other.field or self.dim != other.dim:
-            return False
-        return all(self.contains(b) for b in other.basis)
-
     def __repr__(self):
         return (f"MatrixSubspace(n={self.n}, dim={self.dim}, "
                 f"codim={self.codim}, field={self.field!r})")

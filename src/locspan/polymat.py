@@ -41,10 +41,6 @@ class ScalarMatrix:
                     for i in range(n)], field)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, field: Field) -> "ScalarMatrix":
-        return cls([[field.zero] * cols for _ in range(rows)], field, cols=cols)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence], field: Field) -> "ScalarMatrix":
         rows = len(columns[0])
         return cls([[columns[j][i] for j in range(len(columns))]
@@ -65,21 +61,6 @@ class ScalarMatrix:
             total = self.field.add(total, self.entries[i][i])
         return total
 
-    def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = f.zero
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return ScalarMatrix(out, f, cols=other.cols)
-
     def matvec(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
@@ -92,23 +73,6 @@ class ScalarMatrix:
                 acc = f.add(acc, f.mul(self.entries[i][k], vec[k]))
             out.append(acc)
         return tuple(out)
-
-    def scale(self, value) -> "ScalarMatrix":
-        f = self.field
-        v = f.normalize(value)
-        return ScalarMatrix([[f.mul(x, v) for x in row] for row in self.entries],
-                            f, cols=self.cols)
-
-    def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("dimension mismatch in matrix sum")
-        f = self.field
-        return ScalarMatrix(
-            [[f.add(a, b) for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)], f, cols=self.cols)
-
-    def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        return self + other.scale(self.field.neg(self.field.one))
 
     def __eq__(self, other):
         return (isinstance(other, ScalarMatrix) and self.field == other.field
@@ -250,12 +214,6 @@ class PolyMatrix:
             raise ValueError("augmenting column has wrong length")
         return PolyMatrix([list(row) + [column[i]]
                            for i, row in enumerate(self.entries)])
-
-    def evaluate(self, point: Sequence) -> ScalarMatrix:
-        """Entrywise evaluation at a point of the coefficient field."""
-        return ScalarMatrix(
-            [[p.evaluate(point) for p in row] for row in self.entries],
-            self.field, cols=self.cols)
 
     def det(self) -> Polynomial:
         """Exact determinant by fraction-free (Bareiss) elimination."""

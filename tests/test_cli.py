@@ -7,6 +7,7 @@ import pytest
 
 from locspan import QQ, PrimeField, local_only_example, fraction_span_only_example
 from locspan.cli import (
+    MAX_DIMENSION,
     MAX_PARSE_DEPTH,
     InstanceFile,
     ParseError,
@@ -109,6 +110,11 @@ def test_parse_errors():
                        "q1 = [y1, 0]\nend\n")
     with pytest.raises(ParseError, match="precede"):
         parse_instance("q1 = [y1, 0]\nend\n")
+    # a header after a basis line would relabel the entries read so far
+    with pytest.raises(ParseError, match="kind must precede") as info:
+        parse_instance("field Q\nn 2\nkind linear-subspace\nq1 = [y1, y2]\n"
+                       "kind matrix-subspace\nb1 = [[1, 0], [0, 1]]\nend\n")
+    assert (info.value.line, info.value.col) == (5, 1)
     with pytest.raises(ParseError, match="denominator 0 is zero") as info:
         parse_instance("field Q\nn 3\nkind linear-subspace\n"
                        "q1 = [y1, 1/0*y2, y3]\nend\n")
@@ -339,10 +345,16 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
         perp(flat(local_only_example(4, 3)))).canonical_text()
     idem = ("field Fp 5\nn 2\nkind matrix-subspace\n"
             "b1 = [[1, 0], [0, 0]]\nend\n")
+    span_y = ("field Q\nn 3\nkind linear-subspace\n"
+              "q1 = [y1, y2, y3]\nq2 = [0, 0, y1]\nend\n")
     malformed = [
         "x",
         [],
         {"command": "decide-span-f", "witness": {"coefficients": ["1"]}},
+        {"command": "decide-span-f", "instance": span_y,
+         "witness": {"coefficients": ["1"]}},
+        {"command": "decide-span-f", "instance": span_y,
+         "witness": {"coefficients": ["1", "0", "7", "9"]}},
         {"command": "tracezero", "outcome": True},
         {"command": "decide-span-f", "instance": SPAN_F_TEXT,
          "witness": {"x": 1}},
@@ -394,6 +406,45 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ") and not out, report
 
 
+def test_verify_ties_the_stratum_to_the_minor(tmp_path, capsys):
+    # y1 is the 1x1 minor on row 1 and the target column 4 of the family
+    # (4, 3), which holds: at its true stratum 1 the checks fail, and no
+    # other stratum, nor a minor off the target column, is well formed
+    def report(stratum, cols=(4,)):
+        return {"command": "decide-local", "instance": GOLDEN_TEXT,
+                "outcome": False,
+                "failure_witness": {"method": "closure_radical",
+                                    "stratum": stratum, "rows": [1],
+                                    "cols": list(cols), "minor": "y1"}}
+
+    code, out, _ = _verify_file(capsys, tmp_path, report(1))
+    assert code == 0 and "outcome: false" in out
+    for forged in (report(4), report(99), report(True), report(1, cols=(1,))):
+        code, out, err = _verify_file(capsys, tmp_path, forged)
+        assert code == 2 and not out and "malformed report" in err, forged
+
+
+def test_dimension_cap_exits_2_before_allocating(tmp_path, capsys):
+    import time
+    linear = "field Q\nn 1000000000\nkind linear-subspace\nq1 = [y1]\nend\n"
+    matrix = "field Q\nn 1000000000\nkind matrix-subspace\nb1 = [[1]]\nend\n"
+    runs = [["decide-span-f", "--input", _write_instance(tmp_path, linear)],
+            ["perp", "--input", _write_instance(tmp_path, matrix, "m.txt")],
+            ["example", "--n", "1000000000", "--d", "3"]]
+    for argv in runs:
+        started = time.monotonic()
+        code, out, err = _run(capsys, argv)
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and not out and f"cap of {MAX_DIMENSION}" in err
+    with pytest.raises(ParseError, match="cap") as info:
+        parse_instance(linear)
+    assert (info.value.line, info.value.col) == (2, 3)
+    vector = ", ".join(["y1"] + ["0"] * (MAX_DIMENSION - 1))
+    at_cap = parse_instance(f"field Q\nn {MAX_DIMENSION}\n"
+                            f"kind linear-subspace\nq1 = [{vector}]\nend\n")
+    assert at_cap.nvars == MAX_DIMENSION
+
+
 def test_parser_budget_refuses_expansions_before_they_run(tmp_path, capsys):
     import time
     forms = "(y1+y2+y3+y4+y5+y6)"
@@ -403,9 +454,11 @@ def test_parser_budget_refuses_expansions_before_they_run(tmp_path, capsys):
         parse_polynomial(hostile, 6, QQ, line=3)
     assert time.monotonic() - started < 1.0
     assert (info.value.line, info.value.col) == (3, len(forms) + 1)
+    # a huge exponent is refused by degree before its term bound is counted
     for text, n in (("(y1+y2)^1000", 2), ("y1^33", 1),
                     ("((((2^64)^64)^64)^64)^64", 1),
-                    (f"{forms}^8 * {forms}^8", 6)):
+                    (f"{forms}^8 * {forms}^8", 6),
+                    (f"({forms}^6)^{'9' * 4000}", 6)):
         started = time.monotonic()
         with pytest.raises(ParseError, match="budget"):
             parse_polynomial(text, n, QQ)

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +18,6 @@ from locspan import (
     coordinate_vector,
     fraction_span_only_example,
     has_free_rank,
-    incidence_ideal,
     local_membership_closure,
     local_membership_points,
     local_only_example,
@@ -28,8 +26,8 @@ from locspan import (
     span_over_fractions,
     verify_witness_bounds,
 )
-from locspan.groebner import ideal_membership
-from locspan.polymat import solve_over_field
+from locspan.localmem import ranks_at
+from locspan.polymat import rank
 
 from support import random_subspace, subspace_containing_target, variables
 
@@ -214,37 +212,26 @@ def test_points_budget_and_field_checks():
         local_membership_points(_span_y(3))
 
 
-# -- incidence ideal -------------------------------------------------------------
-
-def test_incidence_ideal_span_y():
-    ideal = incidence_ideal(_span_y(3))
-    assert len(ideal.generators) == 3
-    assert ideal.nvars == 4
-    # generators are (c1 - 1) * y_j
-    c1 = Polynomial.variable(3, 4, QQ)
-    for j, g in enumerate(ideal.generators):
-        yj = Polynomial.variable(j, 4, QQ)
-        assert g == (c1 - 1) * yj
-
-
-def test_incidence_ideal_generator_count():
-    rng = random.Random(32)
-    for _ in range(5):
-        subspace = random_subspace(rng, 4, rng.randint(1, 3))
-        assert len(incidence_ideal(subspace).generators) == subspace.nvars
-
-
-def test_incidence_ideal_vanishes_on_span_certificates():
-    subspace = local_only_example(4, 3)
-    ideal = incidence_ideal(subspace)
-    point = (1, 2, 3, 4)
-    columns = [b.matvec(point) for b in subspace.coeff_matrices]
-    evaluated = ScalarMatrix.from_columns(columns, QQ)
-    certificate = solve_over_field(evaluated, point)
-    assert certificate is not None
-    full_point = tuple(Fraction(x) for x in point) + certificate
-    for g in ideal.generators:
-        assert g.evaluate(full_point) == 0
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F3", "F5"])
+def test_ranks_at_matches_two_rank_calls(field):
+    # points in {-1, 0, 1}^n where the basis drops rank and where the
+    # target leaves the evaluated span, against two separate eliminations
+    rng = random.Random(34)
+    subspaces = [fraction_span_only_example(3, field),
+                 local_only_example(4, 3, field)]
+    subspaces += [random_subspace(rng, n, rng.randint(1, n - 1), field)
+                  for n in (3, 3, 4, 4)]
+    drops = jumps = 0
+    for subspace in subspaces:
+        for point in itertools.product((-1, 0, 1), repeat=subspace.nvars):
+            columns = [b.matvec(point) for b in subspace.coeff_matrices]
+            expected = (rank(ScalarMatrix.from_columns(columns, field)),
+                        rank(ScalarMatrix.from_columns(columns + [point], field)))
+            assert ranks_at(subspace, point) == expected, (subspace, point)
+            drops += expected[0] < subspace.dim
+            jumps += expected[1] > expected[0]
+    assert drops and jumps
 
 
 # -- pencils -----------------------------------------------------------------------
@@ -295,7 +282,7 @@ def test_common_nullvector_for_contained_target():
 
 
 def test_common_nullvector_degenerate_zero_pencil():
-    zeros = [ScalarMatrix.zeros(2, 2, QQ) for _ in range(2)]
+    zeros = [ScalarMatrix([[0, 0], [0, 0]], QQ) for _ in range(2)]
     assert common_nullvector(zeros) == (1, 0)
 
 

@@ -12,7 +12,6 @@ from locspan import (
     PrimeField,
     ScalarMatrix,
     local_only_example,
-    fraction_span_only_example,
     nullspace_over_field,
     polymat,
     rank,
@@ -118,20 +117,10 @@ def test_solve_free_variable_convention():
 
 
 def test_nullspace():
-    zero2 = ScalarMatrix.zeros(2, 2, QQ)
+    zero2 = ScalarMatrix([[0, 0], [0, 0]], QQ)
     assert nullspace_over_field(zero2) == [(1, 0), (0, 1)]
     assert nullspace_over_field(ScalarMatrix.identity(2, QQ)) == []
     assert nullspace_over_field(ScalarMatrix([[1, 1]], QQ)) == [(-1, 1)]
-
-
-def test_evaluate_matrix():
-    counterexample = fraction_span_only_example(3)
-    evaluated = counterexample.basis_matrix.evaluate((0, 1, 1))
-    assert evaluated == ScalarMatrix([[0, 0], [0, 0], [1, 0]], QQ)
-
-    y1, y2, _ = variables(3)
-    m = PolyMatrix([[y1 + 1, y2]])
-    assert m.evaluate((0, 0, 0)) == ScalarMatrix([[1, 0]], QQ)
 
 
 def test_det_matches_cofactor_oracle_random():
@@ -151,9 +140,8 @@ def test_evaluation_commutes_with_det():
                          for _ in range(size)] for _ in range(size)])
         point = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
         direct = m.det().evaluate(point)
-        via_matrix = m.evaluate(point)
         scalar_det = PolyMatrix(
-            [[Polynomial.constant(via_matrix[i, j], 3, QQ)
+            [[Polynomial.constant(m[i, j].evaluate(point), 3, QQ)
               for j in range(size)] for i in range(size)]).det()
         assert scalar_det.constant_value() == direct
 
