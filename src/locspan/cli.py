@@ -684,7 +684,7 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
         actual = subspace.augmented_matrix().submatrix(rows, cols).det()
         checks["minor_matches"] = actual == reported
         checks["minor_outside_radical"] = not radical_membership(
-            reported, stratum_ideal(subspace, s))
+            actual, stratum_ideal(subspace, s))
     else:
         point = _parse_vector(failure, "point", subspace.field)
         rank_basis, rank_augmented = ranks_at(subspace, point)

@@ -656,66 +656,37 @@ def _uni_strip(f: list) -> list:
     return f[i:]
 
 
-def _uni_sub(f: list, g: list) -> list:
-    n = max(len(f), len(g))
-    pad_f = n - len(f)
-    pad_g = n - len(g)
-    out = []
-    for i in range(n):
-        fi = f[i - pad_f] if i >= pad_f else None
-        gi = g[i - pad_g] if i >= pad_g else None
-        if fi is None:
-            out.append(-gi)
-        elif gi is None:
-            out.append(fi)
-        else:
-            out.append(fi - gi)
-    return _uni_strip(out)
-
-
 def _uni_prem(f: list, g: list) -> list:
-    """Pseudo-remainder of dense descending coefficient lists (g nonzero)."""
-    df = len(f) - 1
+    """Pseudo-remainder of dense descending lists; deg f >= deg g, g nonzero."""
     dg = len(g) - 1
-    if df < dg:
-        return list(f)
-    zero = Polynomial.zero(g[0].nvars, g[0].field)
     r = list(f)
-    dr = df
-    n = df - dg + 1
+    n = len(f) - dg
     lc_g = g[0]
-    while True:
+    while len(r) > dg:
         lc_r = r[0]
-        j = dr - dg
         n -= 1
-        scaled_r = [c * lc_g for c in r]
-        scaled_g = [c * lc_r for c in g] + [zero] * j
-        r = _uni_sub(scaled_r, scaled_g)
-        dr = len(r) - 1
-        if dr < dg:
-            break
+        scaled = [c * lc_g for c in r]
+        for i, c in enumerate(g):
+            scaled[i] = scaled[i] - c * lc_r
+        r = _uni_strip(scaled)
     mult = lc_g ** n
     if mult.is_one():
         return r
     return [c * mult for c in r]
 
 
-def _subresultant_prs(f: list, g: list) -> list:
-    """Subresultant PRS of dense descending lists; deg f >= deg g >= 0."""
-    nvars, field = f[0].nvars, f[0].field
-    one = Polynomial.one(nvars, field)
-    n = len(f) - 1
+def _last_subresultant(f: list, g: list) -> list:
+    """Last nonzero remainder of the subresultant PRS of dense descending
+    lists; deg f >= deg g >= 0."""
     m = len(g) - 1
-    prs = [list(f), list(g)]
-    d = n - m
-    b = one if (d + 1) % 2 == 0 else -one
+    d = len(f) - 1 - m
     h = _uni_prem(f, g)
-    h = [x * b for x in h]
+    if d % 2 == 0:
+        h = [-x for x in h]
     lc = g[0]
     c = -(lc ** d)
     while h:
         k = len(h) - 1
-        prs.append(h)
         f, g, m, d = g, h, k, m - k
         b = -lc * (c ** d)
         h = _uni_prem(f, g)
@@ -725,7 +696,7 @@ def _subresultant_prs(f: list, g: list) -> list:
             c = exact_div((-lc) ** d, c ** (d - 1))
         else:
             c = -lc
-    return prs
+    return g
 
 
 def _fold_gcd(polys) -> Polynomial:
@@ -758,7 +729,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     cont = poly_gcd(ca, cb)
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    last = _subresultant_prs(pa, pb)[-1]
+    last = _last_subresultant(pa, pb)
     if len(last) == 1:
         return monic(cont)
     content_last = _fold_gcd(last)

@@ -112,8 +112,9 @@ class LinearSubspace:
         return PolyMatrix.from_columns(self.basis)
 
     @cached_property
-    def fraction_rank(self) -> int:
-        return self.basis_matrix.rank_over_fractions()
+    def pivot_rows(self) -> tuple:
+        """The lexicographically first rows of a basis over the fraction field."""
+        return self.basis_matrix.pivot_rows()
 
     def coordinate_target(self) -> tuple:
         """The coordinate vector y = (y1, ..., yn) every decision asks about."""
@@ -205,7 +206,7 @@ class WitnessBoundsReport:
 
 def has_free_rank(subspace: LinearSubspace) -> bool:
     """Whether the spanning vectors stay independent over the fraction field."""
-    return subspace.fraction_rank == subspace.dim
+    return len(subspace.pivot_rows) == subspace.dim
 
 
 def combination(subspace: LinearSubspace, coefficients: Sequence) -> tuple:
@@ -244,19 +245,11 @@ def span_over_fractions(subspace: LinearSubspace) -> Optional[CramerWitness]:
     """
     if not has_free_rank(subspace):
         raise ValueError("spanning vectors are dependent over the fraction field")
-    n, d = subspace.nvars, subspace.dim
-    q = subspace.basis_matrix
+    d = subspace.dim
     y = subspace.coordinate_target()
-    index_set = None
-    det_q = None
-    for rows in itertools.combinations(range(n), d):
-        candidate = q.submatrix(rows, range(d))
-        det = candidate.det()
-        if not det.is_zero():
-            index_set = rows
-            det_q = det
-            square = candidate
-            break
+    index_set = subspace.pivot_rows
+    square = subspace.basis_matrix.submatrix(index_set, range(d))
+    det_q = square.det()
     target_part = [y[i] for i in index_set]
     numerators = [square.with_column(j, target_part).det() for j in range(d)]
     # sum_j mu_j q_j = det * y clears the denominators of the check

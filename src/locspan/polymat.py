@@ -1,9 +1,9 @@
 """Exact linear algebra over polynomial rings, their fraction fields, and base fields.
 
-Polynomial matrices get fraction-free (Bareiss) determinants, minors and
-rank over the fraction field; scalar matrices get Gaussian elimination with
-a fixed pivot rule so solutions and nullspace bases are reproducible
-bit-exactly.
+Polynomial matrices get determinants, minors and a row basis over the
+fraction field from one fraction-free elimination, row by row; scalar
+matrices get Gaussian elimination with a fixed pivot rule so solutions and
+nullspace bases are reproducible bit-exactly.
 """
 
 from __future__ import annotations
@@ -216,13 +216,19 @@ class PolyMatrix:
                            for i, row in enumerate(self.entries)])
 
     def det(self) -> Polynomial:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant: the last pivot of the columns' elimination,
+        signed by the order of its pivot rows.  It stops at the first column
+        that depends on the columns before it, where the determinant is 0."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        r, sign, last_pivot = self._bareiss(square=True)
-        if r < self.rows:
-            return Polynomial.zero(self.nvars, self.field)
-        return -last_pivot if sign < 0 else last_pivot
+        pivots, last = [], Polynomial.one(self.nvars, self.field)
+        for i, reduced in self._reduce(zip(*self.entries)):
+            if i is None:
+                return Polynomial.zero(self.nvars, self.field)
+            pivots.append(i)
+            last = reduced[i]
+        inversions = sum(a > b for a, b in itertools.combinations(pivots, 2))
+        return -last if inversions % 2 else last
 
     def minors(self, s: int) -> list:
         """All s x s minors with their index sets, lexicographic in (rows, cols)."""
@@ -236,51 +242,44 @@ class PolyMatrix:
                             self.submatrix(row_idx, col_idx).det()))
         return out
 
-    def rank_over_fractions(self) -> int:
-        """Rank over the fraction field, by fraction-free elimination."""
-        return self._bareiss(square=False)[0]
+    def pivot_rows(self) -> tuple:
+        """The greedy row basis over the fraction field.
 
-    def _bareiss(self, square: bool) -> tuple:
-        """Fraction-free (Bareiss) elimination on a copy of the entries.
-
-        Pivot rule: the first nonzero entry at or below the current row in
-        the current column, so runs are reproducible.  Returns the rank, the
-        sign of the row permutation and the last pivot (the determinant up
-        to sign when the rank is full).  With ``square`` it stops at the
-        first column without a pivot, where the determinant is already 0.
+        A row is kept when it is independent of the rows kept before it, so
+        the length is the rank over the fraction field, and at full column
+        rank the rows are the lexicographically first row set with a
+        nonzero maximal minor.
         """
-        a = [list(row) for row in self.entries]
+        return tuple(i for i, (c, _) in enumerate(self._reduce(self.entries))
+                     if c is not None)
+
+    def _reduce(self, rows):
+        """Fraction-free (Bareiss) elimination of each of ``rows`` against
+        the rows kept before it, in order.
+
+        After step k, entry j of the reduced row is the minor on the first k
+        kept rows plus this row and their pivot columns plus j, so the
+        division by the previous pivot is exact (Sylvester's identity).
+        Yields each row's pivot column, its first nonzero entry, or None
+        when nothing is left, with the reduced row.
+        """
         zero = Polynomial.zero(self.nvars, self.field)
-        prev = Polynomial.one(self.nvars, self.field)
-        sign = 1
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if not a[i][c].is_zero()),
-                         None)
-            if pivot is None:
-                if square:
-                    break
-                continue
-            if pivot != r:
-                a[r], a[pivot] = a[pivot], a[r]
-                sign = -sign
-            for i in range(r + 1, self.rows):
-                for j in range(c + 1, self.cols):
-                    num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
-                    # exact by the Bareiss/Sylvester identity
-                    a[i][j] = exact_div(num, prev)
-                a[i][c] = zero
-            prev = a[r][c]
-            r += 1
-            if r == self.rows:
-                break
-        return r, sign, prev
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyMatrix) and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
+        kept = []
+        for row in rows:
+            reduced = list(row)
+            prev = Polynomial.one(self.nvars, self.field)
+            done = set()  # pivot columns so far: their minors repeat a column
+            for c, pivot_row in kept:
+                done.add(c)
+                lead, pivot = reduced[c], pivot_row[c]
+                reduced = [zero if j in done
+                           else exact_div(pivot * x - lead * p, prev)
+                           for j, (x, p) in enumerate(zip(reduced, pivot_row))]
+                prev = pivot
+            c = next((j for j, x in enumerate(reduced) if not x.is_zero()), None)
+            if c is not None:
+                kept.append((c, reduced))
+            yield c, reduced
 
     def __repr__(self):
         body = "; ".join(" ".join(str(p) for p in row) for row in self.entries)

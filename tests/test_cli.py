@@ -1,6 +1,7 @@
 """Instance parsing, report schema, subcommand behaviour, verify loop."""
 
 import json
+import random
 import re
 
 import pytest
@@ -131,6 +132,53 @@ def test_parse_errors():
     big = parse_instance("field Fp 1000000000000000003\nn 2\n"
                          "kind linear-subspace\nq1 = [y1, 0]\nend\n")
     assert big.field == PrimeField(10 ** 18 + 3)
+
+
+_LINEAR = "field Q\nn 2\nkind linear-subspace\n"
+_MATRIX = "field Q\nn 2\nkind matrix-subspace\n"
+
+PARSE_REFUSALS = [
+    ("unexpected character '$'", _LINEAR + "q1 = [y1, y2 $]\nend\n", 4, 14),
+    ("unexpected end of line", _LINEAR + "q1 = [y1, \nend\n", 4, 9),
+    ("expected ']', found 'y2'", _LINEAR + "q1 = [y1 y2]\nend\n", 4, 10),
+    ("exponent must be an integer literal",
+     _LINEAR + "q1 = [y1^y2, y2]\nend\n", 4, 10),
+    ("denominator must be an integer literal",
+     _LINEAR + "q1 = [1/y1 * y1, y2]\nend\n", 4, 9),
+    ("unknown identifier 'x1'", _LINEAR + "q1 = [x1, y2]\nend\n", 4, 7),
+    ("unexpected token '*'", _LINEAR + "q1 = [*, y2]\nend\n", 4, 7),
+    ("trailing input 'y2'", None, 0, 4),
+    ("bad field declaration 'R'",
+     "field R\nn 2\nkind linear-subspace\nq1 = [y1, y2]\nend\n", 1, 7),
+    ("bad dimension 'two'",
+     "field Q\nn two\nkind linear-subspace\nq1 = [y1, y2]\nend\n", 2, 3),
+    ("expected a basis line", _LINEAR + "= [y1, y2]\nend\n", 4, 1),
+    ("trailing input after basis vector",
+     _LINEAR + "q1 = [y1, y2] y1\nend\n", 4, 15),
+    ("trailing input after matrix",
+     _MATRIX + "b1 = [[1, 0], [0, 1]] 3\nend\n", 4, 23),
+    ("matrix must be 2x2", _MATRIX + "b1 = [[1, 0]]\nend\n", 4, 1),
+    ("instance declares no basis entries", _LINEAR + "end\n", 1, 1),
+]
+
+
+@pytest.mark.parametrize("message, text, line, col", PARSE_REFUSALS,
+                         ids=[case[0] for case in PARSE_REFUSALS])
+def test_parse_refusals_pin_their_position(message, text, line, col):
+    with pytest.raises(ParseError) as info:
+        if text is None:  # a lone polynomial, as a report's minor is read
+            parse_polynomial("y1 y2", 2, QQ)
+        else:
+            parse_instance(text)
+    assert message in str(info.value)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_parse_refusal_exits_2(tmp_path, capsys):
+    path = _write_instance(tmp_path, _LINEAR + "q1 = [y1^y2, y2]\nend\n")
+    code, out, err = _run(capsys, ["decide-span-f", "--input", path])
+    assert code == 2 and out == ""
+    assert "line 4, col 10: exponent must be an integer literal" in err
 
 
 def test_parse_polynomial_round_trip():
@@ -422,6 +470,57 @@ def test_verify_ties_the_stratum_to_the_minor(tmp_path, capsys):
     for forged in (report(4), report(99), report(True), report(1, cols=(1,))):
         code, out, err = _verify_file(capsys, tmp_path, forged)
         assert code == 2 and not out and "malformed report" in err, forged
+
+
+def test_verify_tests_the_recomputed_minor_not_the_reported_one():
+    # the reported polynomial is not the minor on these rows and columns,
+    # and lies outside the radical; the true minor lies inside it
+    text = instance_from_subspace(local_only_example(5, 4)).canonical_text()
+    forged = {"command": "decide-local", "instance": text, "outcome": False,
+              "failure_witness": {
+                  "method": "closure_radical", "stratum": 4,
+                  "rows": [1, 2, 3, 4], "cols": [1, 2, 3, 5],
+                  "minor": "(y1 + 2*y2 + 3*y3 + 5*y4 + 7*y5)^8 + y2^8"}}
+    assert verify_report(forged) == {"minor_matches": False,
+                                     "minor_outside_radical": False}
+
+
+def _dense_single_variable(n, d, dependent=False):
+    # every entry a nonzero multiple of y1, so all minors of every size are
+    # nonzero and the rank work cannot lean on sparsity
+    rng = random.Random(24)
+    columns = [[rng.randint(1, 97) for _ in range(n)] for _ in range(d)]
+    if dependent:
+        columns[-1] = [a + b for a, b in zip(columns[0], columns[1])]
+    lines = [f"q{j + 1} = [" + ", ".join(f"{c}*y1" for c in column) + "]"
+             for j, column in enumerate(columns)]
+    return "\n".join(["field Q", f"n {n}", "kind linear-subspace", *lines, "end\n"])
+
+
+def test_dense_rank_and_minor_checks_stay_polynomial(tmp_path, capsys):
+    import time
+    from locspan import has_free_rank
+    started = time.monotonic()
+    assert has_free_rank(
+        parse_instance(_dense_single_variable(24, 24)).to_linear_subspace())
+    assert time.monotonic() - started < 1.0
+
+    path = _write_instance(tmp_path, _dense_single_variable(24, 24, dependent=True))
+    started = time.monotonic()
+    code, out, err = _run(capsys, ["decide-span-l", "--input", path])
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and not out and "dependent over the fraction field" in err
+
+    forged = {"command": "decide-local", "outcome": False,
+              "instance": _dense_single_variable(24, 23),
+              "failure_witness": {
+                  "method": "closure_radical", "stratum": 24,
+                  "rows": list(range(1, 25)), "cols": list(range(1, 25)),
+                  "minor": "y1"}}
+    started = time.monotonic()
+    assert verify_report(forged) == {"minor_matches": False,
+                                     "minor_outside_radical": True}
+    assert time.monotonic() - started < 1.0
 
 
 def test_dimension_cap_exits_2_before_allocating(tmp_path, capsys):

@@ -95,6 +95,15 @@ def test_gcd_with_zero_normalizes():
     assert poly_gcd(Polynomial.zero(3, QQ), y1.scale(3)) == y1
 
 
+def test_gcd_across_a_degree_gap_in_the_remainder_sequence():
+    # remainder degrees in y2: 6, 5, 1 and 5, 4, 1, 0; both drop by more
+    # than one, which takes the subresultant update for a degree gap
+    y1, y2 = variables(2)
+    assert poly_gcd((y2 ** 5 + y1 * y2 + 1) * (y1 - y2),
+                    (y2 ** 4 + y1) * (y1 - y2)) == y1 - y2
+    assert poly_gcd(y2 ** 5 + y1 * y2 + y1 ** 5, y2 ** 4 + y1 ** 2).is_one()
+
+
 def test_gcd_coprime_variables():
     y1, y2, _ = variables(3)
     assert poly_gcd(y1, y2).is_one()

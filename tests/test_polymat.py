@@ -1,5 +1,6 @@
 """Determinants, minors, ranks, solving and nullspaces."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -77,8 +78,9 @@ def test_minors_golden_maximal_of_family_matrix():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_det_stops_at_the_first_column_without_pivot(monkeypatch, n):
-    # column 2 is 3 * column 1, so after the (n-1)^2 divisions of the first
-    # step column 2 has no pivot and the determinant is 0 with no more work
+    # column 2 is 3 * column 1, so after the n - 1 divisions that reduce it
+    # against column 1 nothing is left and the determinant is 0 with no
+    # more work (without the stop, column 3 costs n - 1 more)
     y = variables(n)
     rows = [[y[i], y[i].scale(3)] + [y[(i + k) % n] + y[k] for k in range(2, n)]
             for i in range(n)]
@@ -90,18 +92,62 @@ def test_det_stops_at_the_first_column_without_pivot(monkeypatch, n):
 
     monkeypatch.setattr(polymat, "exact_div", counting_div)
     assert PolyMatrix(rows).det().is_zero()
-    assert len(calls) == (n - 1) ** 2
+    assert len(calls) == n - 1
 
 
 def test_rank_over_fractions():
     q = local_only_example(4, 3).basis_matrix
-    assert q.rank_over_fractions() == 3
+    assert len(q.pivot_rows()) == 3
     zero = Polynomial.zero(3, QQ)
-    assert PolyMatrix([[zero, zero], [zero, zero]]).rank_over_fractions() == 0
+    assert PolyMatrix([[zero, zero], [zero, zero]]).pivot_rows() == ()
     y1, y2, y3 = variables(3)
     proportional = PolyMatrix.from_columns(
         [(y1, y2, y3), (y1.scale(2), y2.scale(2), y3.scale(2))])
-    assert proportional.rank_over_fractions() == 1
+    assert len(proportional.pivot_rows()) == 1
+
+
+def lexicographic_pivot_rows(m):
+    """Reference: the first row set, in combination order, of the largest
+    size s with a nonzero s x s minor (cofactor oracle)."""
+    for s in range(min(m.rows, m.cols), 0, -1):
+        for rows in itertools.combinations(range(m.rows), s):
+            if any(not cofactor_det(m.submatrix(rows, cols)).is_zero()
+                   for cols in itertools.combinations(range(m.cols), s)):
+                return rows
+    return ()
+
+
+def _matrix_with_dependent_rows(rng, field):
+    """Random linear entries, then zero rows, repeated rows and rows that
+    are multiples of the first one, so the first nonzero minor comes late."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 4)
+    zero = Polynomial.zero(3, field)
+    entries = [[random_polynomial(rng, 3, field, max_degree=1, max_terms=2)
+                for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        kind = rng.randrange(4)
+        if kind == 0:
+            entries[i] = [zero] * cols
+        elif kind == 1:
+            entries[i] = list(entries[rng.randrange(i)])
+        elif kind == 2:
+            c = rng.randint(1, 2)
+            entries[i] = [p.scale(c) for p in entries[0]]
+    return PolyMatrix(entries)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F3", "F5"])
+def test_pivot_rows_match_lexicographic_scan(field):
+    rng = random.Random(15)
+    deficient = late = 0
+    for _ in range(80):
+        m = _matrix_with_dependent_rows(rng, field)
+        expected = lexicographic_pivot_rows(m)
+        assert m.pivot_rows() == expected
+        deficient += len(expected) < min(m.rows, m.cols)
+        late += len(expected) == m.cols and expected != tuple(range(m.cols))
+    assert deficient and late
 
 
 def test_solve_identity_and_inconsistent():
@@ -125,11 +171,13 @@ def test_nullspace():
 
 def test_det_matches_cofactor_oracle_random():
     rng = random.Random(11)
-    for _ in range(60):
-        size = rng.randint(1, 4)
-        m = PolyMatrix([[random_polynomial(rng, 3, max_degree=1, max_terms=2)
-                         for _ in range(size)] for _ in range(size)])
-        assert m.det() == cofactor_det(m)
+    for field in (QQ, PrimeField(3), PrimeField(5)):
+        for _ in range(60):
+            size = rng.randint(1, 5)
+            m = PolyMatrix([[random_polynomial(rng, 3, field, max_degree=1,
+                                               max_terms=2)
+                             for _ in range(size)] for _ in range(size)])
+            assert m.det() == cofactor_det(m)
 
 
 def test_evaluation_commutes_with_det():
@@ -157,7 +205,7 @@ def test_rank_equals_largest_nonzero_minor():
         for s in range(1, min(rows, cols) + 1):
             if any(not det.is_zero() for _, _, det in m.minors(s)):
                 largest = s
-        assert m.rank_over_fractions() == largest
+        assert len(m.pivot_rows()) == largest
 
 
 def test_solutions_solve_the_system():
