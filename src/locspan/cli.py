@@ -54,6 +54,7 @@ from .localmem import (
     PointFailure,
     combination,
     common_nullvector,
+    cramer_identity_holds,
     denominator_lcm,
     local_membership_closure,
     local_membership_points,
@@ -651,7 +652,11 @@ def _instance(instance) -> InstanceFile:
     return instance
 
 
-def _check_cramer(subspace: LinearSubspace, witness, checks: dict):
+def _check_cramer(subspace: LinearSubspace, witness, checks: dict,
+                  with_bounds: bool):
+    """Re-check a Cramer witness's identity and lcm; ``with_bounds`` adds
+    the degree, coprimality and divisibility flags a `witness-bounds`
+    report carries, which cost a gcd per lambda and C(n, d) minors."""
     lambdas = _entry(witness, "lambdas")
     nums = [_parse_poly(e, "num", subspace) for e in lambdas]
     dens = [_parse_poly(e, "den", subspace) for e in lambdas]
@@ -663,10 +668,17 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict):
         raise ValueError("malformed report: 'index_set' must hold d increasing "
                          "indices")
     cramer = CramerWitness(index_set, tuple(map(RationalFunction, nums, dens)), m)
-    bounds = verify_witness_bounds(cramer, subspace)
-    checks["identity_holds"] = bounds.identity_ok
+    bounds = verify_witness_bounds(cramer, subspace) if with_bounds else None
+    checks["identity_holds"] = (cramer_identity_holds(cramer, subspace)
+                                if bounds is None else bounds.identity_ok)
     checks["m_is_denominator_lcm"] = denominator_lcm(cramer.lambdas) == m
-    return bounds
+    if bounds is not None:
+        checks["fractions_flag_matches"] = \
+            bounds.fractions_ok == witness.get("fractions_ok")
+        checks["divisibility_flag_matches"] = \
+            bounds.divisibility_ok == witness.get("divisibility_ok")
+        checks["lcm_degree_matches"] = \
+            bounds.lcm_degree == witness.get("lcm_degree")
 
 
 def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
@@ -719,15 +731,8 @@ def verify_report(report: dict) -> dict:
         checks["combination_matches_target"] = \
             combination(subspace, coeffs) == subspace.coordinate_target()
     elif command in ("decide-span-l", "witness-bounds") and witness:
-        bounds = _check_cramer(_instance(instance).to_linear_subspace(),
-                               witness, checks)
-        if command == "witness-bounds":
-            checks["fractions_flag_matches"] = \
-                bounds.fractions_ok == witness.get("fractions_ok")
-            checks["divisibility_flag_matches"] = \
-                bounds.divisibility_ok == witness.get("divisibility_ok")
-            checks["lcm_degree_matches"] = \
-                bounds.lcm_degree == witness.get("lcm_degree")
+        _check_cramer(_instance(instance).to_linear_subspace(), witness,
+                      checks, command == "witness-bounds")
     elif command == "decide-local" and failure:
         _check_local_failure(_instance(instance).to_linear_subspace(),
                              failure, checks)

@@ -239,7 +239,7 @@ class Polynomial:
     has an empty term map).
     """
 
-    __slots__ = ("nvars", "field", "terms")
+    __slots__ = ("nvars", "field", "terms", "_lead")
 
     def __init__(self, nvars: int, field: Field, terms=None):
         cleaned = {}
@@ -255,14 +255,17 @@ class Polynomial:
         self.nvars = nvars
         self.field = field
         self.terms = cleaned
+        self._lead = None
 
     @classmethod
     def _raw(cls, nvars: int, field: Field, terms: dict) -> "Polynomial":
-        # internal fast path: terms must already be canonical
+        # internal fast path: terms must already be canonical, and no caller
+        # may change the dict afterwards (the leading term is cached)
         p = object.__new__(cls)
         p.nvars = nvars
         p.field = field
         p.terms = terms
+        p._lead = None
         return p
 
     @classmethod
@@ -330,10 +333,13 @@ class Polynomial:
         return used
 
     def leading_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=grevlex_key)
-        return mono, self.terms[mono]
+        """The grevlex-largest ``(monomial, coefficient)``, found once."""
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            mono = max(self.terms, key=grevlex_key)
+            self._lead = mono, self.terms[mono]
+        return self._lead
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]

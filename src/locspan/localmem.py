@@ -259,26 +259,33 @@ def span_over_fractions(subspace: LinearSubspace) -> Optional[CramerWitness]:
     return CramerWitness(index_set, lambdas, denominator_lcm(lambdas))
 
 
-def verify_witness_bounds(witness: CramerWitness,
-                          subspace: LinearSubspace) -> WitnessBoundsReport:
-    """Re-check a Cramer witness: identity, degree/coprimality shape, and
-    divisibility of every maximal basis minor by the denominator lcm.
+def cramer_identity_holds(witness: CramerWitness,
+                          subspace: LinearSubspace) -> bool:
+    """Whether ``sum_j (m / den_j) num_j q_j = m y`` for the lcm ``m``.
 
-    The identity holds only if the basis minor on ``index_set`` is nonzero,
-    as Cramer's rule on those rows needs.
+    It holds only if the basis minor on ``index_set`` is nonzero, as
+    Cramer's rule on those rows needs.
     """
-    n, d = subspace.nvars, subspace.dim
-    field = subspace.field
     m = witness.denominator_lcm
-    q = subspace.basis_matrix
-
-    index_minor = q.submatrix(witness.index_set, range(d)).det()
+    index_minor = subspace.basis_matrix.submatrix(
+        witness.index_set, range(subspace.dim)).det()
     cofactors = [try_exact_div(m, lam.denominator) for lam in witness.lambdas]
-    identity_ok = (
+    return (
         not index_minor.is_zero() and all(c is not None for c in cofactors)
         and combination(subspace, [lam.numerator * c for lam, c
                                    in zip(witness.lambdas, cofactors)])
         == tuple(m * comp for comp in subspace.coordinate_target()))
+
+
+def verify_witness_bounds(witness: CramerWitness,
+                          subspace: LinearSubspace) -> WitnessBoundsReport:
+    """Re-check a Cramer witness: identity, degree/coprimality shape, and
+    divisibility of every maximal basis minor by the denominator lcm."""
+    n, d = subspace.nvars, subspace.dim
+    field = subspace.field
+    m = witness.denominator_lcm
+    q = subspace.basis_matrix
+    identity_ok = cramer_identity_holds(witness, subspace)
 
     fractions_ok = True
     degrees = []

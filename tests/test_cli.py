@@ -485,6 +485,27 @@ def test_verify_tests_the_recomputed_minor_not_the_reported_one():
                                      "minor_outside_radical": False}
 
 
+def test_verify_of_a_cramer_witness_skips_the_bounds_it_does_not_report(
+        capsys, monkeypatch):
+    # a forged third lambda of degree 8 whose coprimality gcd alone takes
+    # minutes; a decide-span-l report carries no fractions flag, so verify
+    # checks only the identity and the lcm
+    import time
+    from locspan import localmem
+    report = _report_for(capsys, monkeypatch, ["decide-span-l"], GOLDEN_TEXT)
+    den = "(y1 + y2 + 7*y3 + 11*y4)^8 + y1^8"
+    report["witness"]["lambdas"][2] = {"num": "(y1 + 2*y2 + 3*y3 + 5*y4)^8",
+                                       "den": den}
+    report["witness"]["m"] = den
+    gcds = []
+    monkeypatch.setattr(localmem, "poly_gcd", lambda a, b: gcds.append(1))
+    started = time.monotonic()
+    assert verify_report(report) == {"identity_holds": False,
+                                     "m_is_denominator_lcm": False}
+    assert time.monotonic() - started < 5.0
+    assert gcds == []
+
+
 def _dense_single_variable(n, d, dependent=False):
     # every entry a nonzero multiple of y1, so all minors of every size are
     # nonzero and the rank work cannot lean on sparsity

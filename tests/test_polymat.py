@@ -12,6 +12,7 @@ from locspan import (
     Polynomial,
     PrimeField,
     ScalarMatrix,
+    local_membership_closure,
     local_only_example,
     nullspace_over_field,
     polymat,
@@ -76,14 +77,81 @@ def test_minors_golden_maximal_of_family_matrix():
         assert det == cofactor_det(q.submatrix(rows, range(3)))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [9, 10])
 def test_det_stops_at_the_first_column_without_pivot(monkeypatch, n):
-    # column 2 is 3 * column 1, so after the n - 1 divisions that reduce it
-    # against column 1 nothing is left and the determinant is 0 with no
-    # more work (without the stop, column 3 costs n - 1 more)
+    # above the expansion limit, so the columns' elimination runs: column 2
+    # is 3 * column 1, so nothing is left of it and the determinant is 0
+    # after two columns (without the stop, all n are reduced)
+    assert n > polymat.EXPANSION_LIMIT
     y = variables(n)
-    rows = [[y[i], y[i].scale(3)] + [y[(i + k) % n] + y[k] for k in range(2, n)]
+    rows = [[y[i], y[i].scale(3)]
+            + [y[0].scale((i + 2) ** k % 11 + 1) for k in range(2, n)]
             for i in range(n)]
+    taken = []
+    reduce = PolyMatrix._reduce
+
+    def counting_reduce(self, rows):
+        for pivot, reduced in reduce(self, rows):
+            taken.append(pivot)
+            yield pivot, reduced
+
+    monkeypatch.setattr(PolyMatrix, "_reduce", counting_reduce)
+    assert PolyMatrix(rows).det().is_zero()
+    assert taken == [0, None]
+
+
+def _matrix_with_degenerate_lines(rng, field, size):
+    """Sparse random linear entries, then maybe a zero row, a zero column
+    or a repeated row."""
+    zero = Polynomial.zero(3, field)
+    entries = [[random_polynomial(rng, 3, field, max_degree=1, max_terms=2)
+                if rng.random() < 0.7 else zero for _ in range(size)]
+               for _ in range(size)]
+    kind = rng.randrange(4) if size > 1 else 0
+    i = rng.randrange(size)
+    if kind == 1:
+        entries[i] = [zero] * size
+    elif kind == 2:
+        for row in entries:
+            row[i] = zero
+    elif kind == 3:
+        entries[i] = list(entries[(i + 1) % size])
+    return PolyMatrix(entries), kind
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F3", "F5"])
+def test_expansion_equals_elimination(field):
+    rng = random.Random(16)
+    kinds, nonzero = set(), 0
+    for size in range(1, polymat.EXPANSION_LIMIT + 1):
+        for _ in range(6):
+            m, kind = _matrix_with_degenerate_lines(rng, field, size)
+            det = m._det_by_expansion()
+            assert det == m._det_by_elimination()
+            kinds.add(kind)
+            nonzero += not det.is_zero()
+    assert kinds == {0, 1, 2, 3} and nonzero >= 10
+
+
+@pytest.mark.parametrize("size", [polymat.EXPANSION_LIMIT, 12])
+def test_dense_det_at_and_above_the_expansion_limit_is_fast(size):
+    # every entry a nonzero multiple of y1, so every minor is nonzero: the
+    # expansion's worst case at the limit, the elimination above it
+    import time
+    rng = random.Random(17)
+    y1 = Polynomial.variable(0, 1, QQ)
+    m = PolyMatrix([[y1.scale(rng.randint(1, 97)) for _ in range(size)]
+                    for _ in range(size)])
+    started = time.monotonic()
+    m.det()
+    assert time.monotonic() - started < 0.1
+
+
+def test_closure_determinants_divide_nothing(monkeypatch):
+    # every minor of the (7, 6) family has at most 7 rows, so each one is
+    # expanded by minors without a single exact division
+    subspace = local_only_example(7, 6)
     calls = []
 
     def counting_div(num, prev):
@@ -91,8 +159,8 @@ def test_det_stops_at_the_first_column_without_pivot(monkeypatch, n):
         return exact_div(num, prev)
 
     monkeypatch.setattr(polymat, "exact_div", counting_div)
-    assert PolyMatrix(rows).det().is_zero()
-    assert len(calls) == n - 1
+    assert local_membership_closure(subspace).holds
+    assert calls == []
 
 
 def test_rank_over_fractions():
