@@ -712,15 +712,43 @@ def _check_idempotent(subspace: MatrixSubspace, payload, checks: dict):
     checks["inside_subspace"] = subspace.contains(idempotent)
 
 
+def _certified_outcome(command, witness, failure) -> Optional[bool]:
+    """The outcome that a report's own certificate implies, or None for a
+    command whose report carries no certificate of its outcome."""
+    if command in ("decide-local", "r1free"):
+        return not failure
+    if command in ("decide-span-f", "decide-span-l", "idempotent-search"):
+        return bool(witness)
+    if command == "pencil":
+        return isinstance(witness, dict) and witness.get("common_null") is not None
+    if command == "witness-bounds":
+        return isinstance(witness, dict) and all(
+            witness.get(key) is True
+            for key in ("identity_ok", "fractions_ok", "divisibility_ok"))
+    if command == "perp":
+        return True
+    return None
+
+
 def verify_report(report: dict) -> dict:
     """Re-check everything checkable in a previously emitted report."""
     if not isinstance(report, dict):
         raise ValueError("malformed report: not a JSON object")
-    instance = report.get("instance") and parse_instance(
-        _entry(report, "instance", str))
     command = report.get("command")
     witness = report.get("witness")
     failure = report.get("failure_witness")
+    digest = report.get("digest")
+    if digest is not None and digest != hashlib.sha256(
+            _entry(report, "instance", str).encode()).hexdigest():
+        raise ValueError("malformed report: 'digest' is not the SHA-256 of "
+                         "the instance")
+    expected = _certified_outcome(command, witness, failure)
+    if "outcome" in report and expected is not None \
+            and report["outcome"] is not expected:
+        raise ValueError("malformed report: 'outcome' contradicts the "
+                         "report's own witness")
+    instance = report.get("instance") and parse_instance(
+        _entry(report, "instance", str))
     checks: dict = {}
 
     if command == "decide-span-f" and witness:

@@ -101,11 +101,6 @@ class LinearSubspace:
             ScalarMatrix([_linear_coefficients(comp) for comp in vec], field)
             for vec in vectors)
 
-    @classmethod
-    def from_matrices(cls, matrices: Sequence[ScalarMatrix]) -> "LinearSubspace":
-        """Subspace spanned by ``b . y`` for each given square matrix ``b``."""
-        return cls([unflat(b) for b in matrices])
-
     @cached_property
     def basis_matrix(self) -> PolyMatrix:
         """The n x d matrix whose columns are the spanning vectors."""
@@ -122,7 +117,7 @@ class LinearSubspace:
 
     def augmented_matrix(self) -> PolyMatrix:
         """The basis matrix with y appended as its last column."""
-        return self.basis_matrix.augment(self.coordinate_target())
+        return PolyMatrix.from_columns(self.basis + (self.coordinate_target(),))
 
     @cached_property
     def coefficient_system(self) -> ScalarMatrix:
@@ -248,10 +243,12 @@ def span_over_fractions(subspace: LinearSubspace) -> Optional[CramerWitness]:
     d = subspace.dim
     y = subspace.coordinate_target()
     index_set = subspace.pivot_rows
-    square = subspace.basis_matrix.submatrix(index_set, range(d))
-    det_q = square.det()
+    columns = [[q[i] for i in index_set] for q in subspace.basis]
     target_part = [y[i] for i in index_set]
-    numerators = [square.with_column(j, target_part).det() for j in range(d)]
+    det_q = PolyMatrix.from_columns(columns).det()
+    numerators = [
+        PolyMatrix.from_columns(columns[:j] + [target_part] + columns[j + 1:]).det()
+        for j in range(d)]
     # sum_j mu_j q_j = det * y clears the denominators of the check
     if combination(subspace, numerators) != tuple(det_q * comp for comp in y):
         return None
@@ -337,8 +334,8 @@ def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
     from one elimination: pivots come left to right, so the basis rank is
     the number of pivots left of column d."""
     columns = [b.matvec(point) for b in subspace.coeff_matrices]
-    _, pivots = rref(ScalarMatrix.from_columns(columns + [tuple(point)],
-                                               subspace.field))
+    pivots = rref(ScalarMatrix.from_columns(columns + [tuple(point)],
+                                            subspace.field))
     return sum(c < subspace.dim for c in pivots), len(pivots)
 
 

@@ -22,7 +22,7 @@ from .localmem import (
     LinearSubspace,
     LocalDecision,
     local_membership_closure,
-    unflat,  # noqa: F401  (re-exported: b . y lives with LinearSubspace)
+    unflat,  # also re-exported: b . y lives with LinearSubspace
 )
 from .polymat import (
     ScalarMatrix,
@@ -132,7 +132,7 @@ def perp(subspace: MatrixSubspace) -> MatrixSubspace:
 
 def complement_subspace(subspace: MatrixSubspace) -> LinearSubspace:
     """The complement `perp` read as a subspace of vectors of linear forms."""
-    return LinearSubspace.from_matrices(perp(subspace).basis)
+    return LinearSubspace([unflat(b) for b in perp(subspace).basis])
 
 
 def is_subspace_of_tracezero(subspace: MatrixSubspace) -> bool:

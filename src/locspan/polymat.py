@@ -132,16 +132,13 @@ def _rref(rows: list, field: Field):
     return pivots
 
 
-def rref(matrix: ScalarMatrix):
-    """Reduced row echelon form and pivot columns."""
-    rows = [list(row) for row in matrix.entries]
-    pivots = _rref(rows, matrix.field)
-    return ScalarMatrix(rows, matrix.field, cols=matrix.cols), tuple(pivots)
+def rref(matrix: ScalarMatrix) -> tuple:
+    """The pivot columns of the reduced row echelon form."""
+    return tuple(_rref([list(row) for row in matrix.entries], matrix.field))
 
 
 def rank(matrix: ScalarMatrix) -> int:
-    rows = [list(row) for row in matrix.entries]
-    return len(_rref(rows, matrix.field))
+    return len(rref(matrix))
 
 
 def solve_over_field(matrix: ScalarMatrix, rhs: Sequence) -> Optional[tuple]:
@@ -213,19 +210,6 @@ class PolyMatrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
-    def with_column(self, j: int, column: Sequence[Polynomial]) -> "PolyMatrix":
-        if len(column) != self.rows:
-            raise ValueError("replacement column has wrong length")
-        return PolyMatrix([
-            [column[i] if c == j else self.entries[i][c] for c in range(self.cols)]
-            for i in range(self.rows)])
-
-    def augment(self, column: Sequence[Polynomial]) -> "PolyMatrix":
-        if len(column) != self.rows:
-            raise ValueError("augmenting column has wrong length")
-        return PolyMatrix([list(row) + [column[i]]
-                           for i, row in enumerate(self.entries)])
 
     def det(self) -> Polynomial:
         """Exact determinant: expanded by minors up to `EXPANSION_LIMIT`

@@ -654,6 +654,13 @@ def test_every_witness_report_passes_verify(capsys, monkeypatch, tmp_path):
         code, out, _ = _run(capsys, ["verify", "--input", str(path), "--json"])
         assert code == 0
         assert json.loads(out)["outcome"] is True, (argv, out)
+        # the certificate decides the outcome, so a flipped one is refused
+        flipped = dict(report, outcome=not report["outcome"])
+        if argv == ["tracezero"]:
+            assert verify_report(flipped) == {"outcome_matches": False}
+        else:
+            with pytest.raises(ValueError, match="'outcome' contradicts"):
+                verify_report(flipped)
 
 
 def test_verify_checks_the_cramer_index_set(capsys, monkeypatch, tmp_path):
@@ -668,6 +675,30 @@ def test_verify_checks_the_cramer_index_set(capsys, monkeypatch, tmp_path):
         report["witness"]["index_set"] = index_set
         code, out, err = _verify_file(capsys, tmp_path, report)
         assert code == 2 and not out and "index_set" in err, index_set
+
+
+def test_verify_ties_the_digest_to_the_instance(capsys, monkeypatch, tmp_path):
+    text = instance_from_subspace(local_only_example(5, 4)).canonical_text()
+    report = _report_for(capsys, monkeypatch, ["decide-span-l"], text)
+    report["digest"] = "0" * 64
+    code, out, err = _verify_file(capsys, tmp_path, report)
+    assert code == 2 and not out and "malformed report: 'digest'" in err
+
+
+def test_verify_refuses_an_outcome_its_certificate_contradicts(
+        capsys, monkeypatch, tmp_path):
+    text = instance_from_subspace(local_only_example(5, 4)).canonical_text()
+    local = _report_for(capsys, monkeypatch, ["decide-local"], text)
+    span_l = _report_for(capsys, monkeypatch, ["decide-span-l"], text)
+    bounds = _report_for(capsys, monkeypatch, ["witness-bounds"], text)
+    assert local["outcome"] and span_l["outcome"] and bounds["outcome"]
+    bounds["witness"]["fractions_ok"] = False  # the outcome is their conjunction
+    forged = [dict(local, outcome=False),
+              dict(local, outcome=False, digest="0" * 64),
+              dict(span_l, outcome=False), bounds]
+    for report in forged:
+        code, out, err = _verify_file(capsys, tmp_path, report)
+        assert code == 2 and not out and "malformed report" in err, report
 
 
 def test_verify_rejects_tampered_witness(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from locspan import (
     pencil_coefficients,
     span_over_field,
     span_over_fractions,
+    unflat,
     verify_witness_bounds,
 )
 from locspan.localmem import ranks_at
@@ -55,7 +56,7 @@ def test_coefficient_matrices_reproduce_basis():
     rng = random.Random(31)
     for _ in range(10):
         subspace = random_subspace(rng, 4, rng.randint(1, 3))
-        rebuilt = LinearSubspace.from_matrices(subspace.coeff_matrices)
+        rebuilt = LinearSubspace([unflat(b) for b in subspace.coeff_matrices])
         assert rebuilt.basis == subspace.basis
 
 

@@ -100,13 +100,19 @@ def test_det_stops_at_the_first_column_without_pivot(monkeypatch, n):
     assert taken == [0, None]
 
 
+def _sparse_entries(rng, field, size):
+    """A square of sparse random entries of degree at most 1."""
+    zero = Polynomial.zero(3, field)
+    return [[random_polynomial(rng, 3, field, max_degree=1, max_terms=2)
+             if rng.random() < 0.7 else zero for _ in range(size)]
+            for _ in range(size)]
+
+
 def _matrix_with_degenerate_lines(rng, field, size):
     """Sparse random linear entries, then maybe a zero row, a zero column
     or a repeated row."""
     zero = Polynomial.zero(3, field)
-    entries = [[random_polynomial(rng, 3, field, max_degree=1, max_terms=2)
-                if rng.random() < 0.7 else zero for _ in range(size)]
-               for _ in range(size)]
+    entries = _sparse_entries(rng, field, size)
     kind = rng.randrange(4) if size > 1 else 0
     i = rng.randrange(size)
     if kind == 1:
@@ -132,6 +138,15 @@ def test_expansion_equals_elimination(field):
             kinds.add(kind)
             nonzero += not det.is_zero()
     assert kinds == {0, 1, 2, 3} and nonzero >= 10
+    # above the limit det() eliminates; the expansion stays exact at any
+    # size, so it checks the elimination's nonzero values and their signs.
+    # Q stops at one 9-row matrix: a 10-row one takes seconds to eliminate
+    limit = polymat.EXPANSION_LIMIT
+    sizes = [limit + 1] if field == QQ else [limit + 1] * 2 + [limit + 2] * 2
+    for size in sizes:
+        m = PolyMatrix(_sparse_entries(rng, field, size))
+        det = m.det()
+        assert det == m._det_by_expansion() and not det.is_zero()
 
 
 @pytest.mark.parametrize("size", [polymat.EXPANSION_LIMIT, 12])
