@@ -6,8 +6,8 @@ orthogonal complement under the trace pairing transports local-membership
 decisions into decisions about rank-1 idempotents: a subspace of
 codimension below n contains no rank-1 idempotent over the algebraic
 closure exactly when the corresponding subspace of linear-form vectors has
-the local membership property.  A finite-field brute-force search provides
-an independent check.
+the local membership property.  A prime-field search, which scans u and
+solves a linear system for v, provides an independent check.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .polymat import (
     solve_over_field,
 )
 
-#: Default cap on p**(2n), the candidate count of the idempotent search.
+#: Default cap on p**(2n), the size of the (u, v) space the search decides.
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
@@ -173,11 +173,11 @@ def find_rank1_idempotent(subspace: MatrixSubspace,
                           ) -> Optional[Rank1Idempotent]:
     """Exhaustive rank-1 idempotent search over a prime field.
 
-    Scans u over projective representatives (first nonzero coordinate 1)
-    and, per u, all v with v^T u = 1, in lexicographic order; the first
-    pair whose outer product lies in the subspace wins.  Membership is a
-    handful of dot products against the complement: ``u v^T`` lies in the
-    subspace iff ``v^T x u = 0`` for every ``x`` in its `perp`.
+    Scans u over projective representatives (first nonzero coordinate 1).
+    ``u v^T`` lies in the subspace iff ``v^T x u = 0`` for every ``x`` in its
+    `perp`, so the v with v^T u = 1 that work for u solve one linear system.
+    Solved with reversed columns, each coordinate of v is fixed by earlier
+    ones or free (and set to 0), so v is the lexicographically least one.
     """
     field = subspace.field
     if not isinstance(field, PrimeField):
@@ -189,10 +189,9 @@ def find_rank1_idempotent(subspace: MatrixSubspace,
             f"{p}^{2 * n} candidates exceed the budget of {budget}")
     complement = perp(subspace).basis
     for u in _projective_representatives(p, n):
-        rows = [x.matvec(u) for x in complement]
-        for v in itertools.product(range(p), repeat=n):
-            if sum(x * y for x, y in zip(u, v)) % p != 1:
-                continue
-            if all(sum(r[i] * v[i] for i in range(n)) % p == 0 for r in rows):
-                return Rank1Idempotent(u, v)
+        rows = [u] + [x.matvec(u) for x in complement]
+        system = ScalarMatrix([row[::-1] for row in rows], field)
+        v = solve_over_field(system, [1] + [0] * len(complement))
+        if v is not None:
+            return Rank1Idempotent(u, v[::-1])
     return None

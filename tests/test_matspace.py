@@ -219,6 +219,11 @@ def test_bruteforce_budget_and_field_checks():
     span = MatrixSubspace([_unit_matrix(0, 0, 2, F5)])
     with pytest.raises(BudgetExceededError):
         find_rank1_idempotent(span, budget=3)
+    # the cap is p^(2n), the (u, v) space decided, not the points visited
+    assert find_rank1_idempotent(span, budget=5**4) is not None
+    with pytest.raises(BudgetExceededError,
+                       match=r"^5\^4 candidates exceed the budget of 624$"):
+        find_rank1_idempotent(span, budget=5**4 - 1)
     with pytest.raises(ValueError):
         find_rank1_idempotent(MatrixSubspace([_unit_matrix(0, 0, 2)]))
 
@@ -240,7 +245,8 @@ def _scan_for_idempotent(subspace):
 def test_bruteforce_matches_a_plain_scan():
     rng = random.Random(61)
     results = []
-    for p, n, count in ((3, 2, 12), (5, 2, 12), (3, 3, 6), (5, 3, 3)):
+    for p, n, count in ((3, 2, 12), (5, 2, 12), (3, 3, 6), (5, 3, 3),
+                        (2, 2, 12), (2, 3, 8), (2, 4, 4), (7, 2, 6)):
         field = PrimeField(p)
         cases = [perp(MatrixSubspace([ScalarMatrix.identity(n, field)]))]
         while len(cases) < count:
@@ -257,6 +263,14 @@ def test_bruteforce_matches_a_plain_scan():
             assert find_rank1_idempotent(subspace) == expected
             results.append(expected is not None)
     assert any(results) and not all(results)
+
+
+def test_bruteforce_solves_instead_of_scanning():
+    import time
+    subspace = perp(flat(local_only_example(5, 4, PrimeField(5))))
+    started = time.monotonic()
+    assert find_rank1_idempotent(subspace) is None
+    assert time.monotonic() - started < 1.0
 
 
 def test_bruteforce_witness_is_in_subspace():
