@@ -333,9 +333,15 @@ def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
     """Ranks of the basis matrix and of the augmented matrix at ``point``,
     from one elimination: pivots come left to right, so the basis rank is
     the number of pivots left of column d."""
-    columns = [b.matvec(point) for b in subspace.coeff_matrices]
-    pivots = rref(ScalarMatrix.from_columns(columns + [tuple(point)],
-                                            subspace.field))
+    n = subspace.nvars
+    if len(point) != n:
+        raise ValueError(f"point has {len(point)} coordinates, expected {n}")
+    # row i holds q_1(point)[i] .. q_d(point)[i] and point[i], each a plain
+    # dot product that ScalarMatrix normalises once
+    rows = [[sum(c * x for c, x in zip(b.entries[i], point))
+             for b in subspace.coeff_matrices] + [point[i]]
+            for i in range(n)]
+    pivots = rref(ScalarMatrix(rows, subspace.field))
     return sum(c < subspace.dim for c in pivots), len(pivots)
 
 
@@ -366,14 +372,29 @@ def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     return LocalDecision(holds=True, method="closure_radical")
 
 
+def _projective_representatives(p: int, n: int):
+    """Nonzero vectors of ``F_p^n`` whose first nonzero coordinate is 1, in
+    lexicographic order: one class of leading zeros at a time, most first."""
+    for k in range(n - 1, -1, -1):
+        head = (0,) * k + (1,)
+        for tail in itertools.product(range(p), repeat=n - k - 1):
+            yield head + tail
+
+
 def local_membership_points(subspace: LinearSubspace,
                             budget: int = DEFAULT_POINT_BUDGET) -> LocalDecision:
     """Local membership at all rational points of a prime-field instance.
 
-    Enumerates every point of ``F_p^n`` and compares the rank of the
-    evaluated basis matrix with the rank of the augmented one.  Necessary
-    for the closure property, and equivalent to it in the rational-point
-    statements used for matrix subspaces.
+    Compares the rank of the evaluated basis matrix with the rank of the
+    augmented one at every point of ``F_p^n``.  Entries are linear forms, so
+    both ranks are the same at ``c a`` as at ``a`` for ``c != 0``, and the
+    zero point never fails: only the projective representatives (first
+    nonzero coordinate 1) are evaluated, in lexicographic order.  The least
+    member of a failing class is its representative, so the first failure
+    found is the lexicographically first failing point.  ``budget`` caps
+    ``p^n``, the size of the space decided.  Necessary for the closure
+    property, and equivalent to it in the rational-point statements used
+    for matrix subspaces.
     """
     field = subspace.field
     if not isinstance(field, PrimeField):
@@ -382,7 +403,7 @@ def local_membership_points(subspace: LinearSubspace,
     if field.p ** n > budget:
         raise BudgetExceededError(
             f"{field.p}^{n} points exceed the budget of {budget}")
-    for point in itertools.product(range(field.p), repeat=n):
+    for point in _projective_representatives(field.p, n):
         r_basis, r_aug = ranks_at(subspace, point)
         if r_aug > r_basis:
             return LocalDecision(

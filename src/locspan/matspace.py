@@ -12,7 +12,6 @@ solves a linear system for v, provides an independent check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,6 +20,7 @@ from .localmem import (
     BudgetExceededError,
     LinearSubspace,
     LocalDecision,
+    _projective_representatives,
     local_membership_closure,
     unflat,  # also re-exported: b . y lives with LinearSubspace
 )
@@ -158,14 +158,6 @@ def is_rank1_idempotent_free(subspace: MatrixSubspace) -> LocalDecision:
         return LocalDecision(holds=False, method="closure_radical",
                              failure_witness=Rank1Idempotent(e1, e1))
     return local_membership_closure(complement_subspace(subspace))
-
-
-def _projective_representatives(p: int, n: int):
-    """Nonzero vectors whose first nonzero coordinate is 1, lexicographically."""
-    for vec in itertools.product(range(p), repeat=n):
-        first = next((x for x in vec if x), None)
-        if first == 1:
-            yield vec
 
 
 def find_rank1_idempotent(subspace: MatrixSubspace,

@@ -251,7 +251,11 @@ class PolyMatrix:
     def _det_by_elimination(self) -> Polynomial:
         """The last pivot of the columns' elimination, signed by the order
         of its pivot rows.  It stops at the first column that depends on
-        the columns before it, where the determinant is 0."""
+        the columns before it, where the determinant is 0, and a zero row
+        or two equal rows make it 0 before any column is reduced."""
+        if (not all(any(row) for row in self.entries)
+                or len(set(self.entries)) < self.rows):
+            return Polynomial.zero(self.nvars, self.field)
         pivots, last = [], Polynomial.one(self.nvars, self.field)
         for i, reduced in self._reduce(zip(*self.entries)):
             if i is None:

@@ -395,6 +395,8 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
             "b1 = [[1, 0], [0, 0]]\nend\n")
     span_y = ("field Q\nn 3\nkind linear-subspace\n"
               "q1 = [y1, y2, y3]\nq2 = [0, 0, y1]\nend\n")
+    counter_f5 = ("field Fp 5\nn 3\nkind linear-subspace\n"
+                  "q1 = [y1, 0, y3]\nq2 = [0, y1, 0]\nend\n")
     malformed = [
         "x",
         [],
@@ -438,6 +440,9 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
                              "rows": [1], "cols": [4], "minor": 5}},
         {"command": "decide-local", "instance": GOLDEN_TEXT,
          "failure_witness": {"method": "point_enumeration", "point": ["1"]}},
+        {"command": "decide-local", "instance": counter_f5,
+         "failure_witness": {"method": "point_enumeration",
+                             "point": ["0", "1", "0", "0"]}},
         {"command": "r1free", "instance": matrix,
          "failure_witness": "idempotent"},
         {"command": "idempotent-search", "instance": idem,

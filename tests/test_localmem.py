@@ -9,6 +9,7 @@ from locspan import (
     QQ,
     BudgetExceededError,
     LinearSubspace,
+    LocalDecision,
     MinorFailure,
     PointFailure,
     Polynomial,
@@ -27,7 +28,8 @@ from locspan import (
     unflat,
     verify_witness_bounds,
 )
-from locspan.localmem import ranks_at
+from locspan import localmem
+from locspan.localmem import _projective_representatives, ranks_at
 from locspan.polymat import rank
 
 from support import random_subspace, subspace_containing_target, variables
@@ -211,6 +213,79 @@ def test_points_budget_and_field_checks():
         local_membership_points(_span_y(3, PrimeField(5)), budget=10)
     with pytest.raises(ValueError):
         local_membership_points(_span_y(3))
+
+
+def test_points_budget_caps_the_space_not_the_points_visited():
+    # 31 representatives are evaluated, but the cap stays at p^n = 125
+    subspace = _span_y(3, PrimeField(5))
+    assert local_membership_points(subspace, budget=5**3).holds
+    with pytest.raises(BudgetExceededError,
+                       match=r"^5\^3 points exceed the budget of 124$"):
+        local_membership_points(subspace, budget=5**3 - 1)
+
+
+def _scan_all_points(subspace):
+    """Every point of F_p^n in lexicographic order, two rank calls each."""
+    field = subspace.field
+    for point in itertools.product(range(field.p), repeat=subspace.nvars):
+        columns = [b.matvec(point) for b in subspace.coeff_matrices]
+        r_basis = rank(ScalarMatrix.from_columns(columns, field))
+        r_aug = rank(ScalarMatrix.from_columns(columns + [point], field))
+        if r_aug > r_basis:
+            return LocalDecision(False, "point_enumeration",
+                                 PointFailure(point, r_basis, r_aug))
+    return LocalDecision(True, "point_enumeration")
+
+
+def _tilted_subspace(rng, n, d, field):
+    """A subspace that holds on the hyperplane y1 = 0: one component of one
+    vector of a subspace containing y gains a multiple of y1."""
+    vectors = [list(v) for v in subspace_containing_target(rng, n, d, field).basis]
+    y1 = Polynomial.variable(0, n, field)
+    j, k = rng.randrange(d), rng.randrange(n)
+    vectors[j][k] = vectors[j][k] + y1.scale(rng.randint(1, field.p - 1))
+    return LinearSubspace(vectors)
+
+
+def test_points_match_a_scan_of_every_point():
+    rng = random.Random(35)
+    outcomes = []
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for n in (2, 3, 4):
+            for d in range(1, n):
+                for make in (random_subspace, subspace_containing_target,
+                             _tilted_subspace):
+                    try:
+                        subspace = make(rng, n, d, field)
+                    except ValueError:  # the tilt cancelled a whole vector
+                        continue
+                    expected = _scan_all_points(subspace)
+                    assert local_membership_points(subspace) == expected, subspace
+                    outcomes.append(None if expected.holds
+                                    else expected.failure_witness.point[0])
+    # first failures off and on the hyperplane y1 = 0, and holding instances
+    assert {None, 0, 1} <= set(outcomes)
+
+
+def test_points_evaluate_one_point_per_projective_class(monkeypatch):
+    calls = []
+
+    def counting_ranks_at(subspace, point):
+        calls.append(point)
+        return ranks_at(subspace, point)
+
+    monkeypatch.setattr(localmem, "ranks_at", counting_ranks_at)
+    assert local_membership_points(local_only_example(4, 3, PrimeField(5))).holds
+    assert len(calls) == (5**4 - 1) // (5 - 1) == 156
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_representatives_equal_the_filter_of_every_vector(p):
+    for n in range(1, 5):
+        filtered = [vec for vec in itertools.product(range(p), repeat=n)
+                    if next((x for x in vec if x), None) == 1]
+        assert list(_projective_representatives(p, n)) == filtered
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],

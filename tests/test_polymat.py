@@ -108,12 +108,13 @@ def _sparse_entries(rng, field, size):
             for _ in range(size)]
 
 
-def _matrix_with_degenerate_lines(rng, field, size):
-    """Sparse random linear entries, then maybe a zero row, a zero column
-    or a repeated row."""
+def _matrix_with_degenerate_lines(rng, field, size, kind=None):
+    """Sparse random linear entries, then maybe (or, given ``kind``, for
+    sure) a zero row (1), a zero column (2) or a repeated row (3)."""
     zero = Polynomial.zero(3, field)
     entries = _sparse_entries(rng, field, size)
-    kind = rng.randrange(4) if size > 1 else 0
+    if kind is None:
+        kind = rng.randrange(4) if size > 1 else 0
     i = rng.randrange(size)
     if kind == 1:
         entries[i] = [zero] * size
@@ -161,6 +162,26 @@ def test_dense_det_at_and_above_the_expansion_limit_is_fast(size):
     started = time.monotonic()
     m.det()
     assert time.monotonic() - started < 0.1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F3", "F5"])
+def test_zero_or_repeated_row_is_singular_before_elimination(field, monkeypatch):
+    # 10 rows take the elimination, which would reduce every column (for
+    # seconds over Q) before it met the dependent row
+    rng = random.Random(19)
+    calls = []
+
+    def counting_div(num, prev):
+        calls.append(prev)
+        return exact_div(num, prev)
+
+    monkeypatch.setattr(polymat, "exact_div", counting_div)
+    for kind in (1, 3):
+        for _ in range(3):
+            m, _ = _matrix_with_degenerate_lines(rng, field, 10, kind)
+            assert m.det().is_zero()
+    assert calls == []
 
 
 def test_closure_determinants_divide_nothing(monkeypatch):
