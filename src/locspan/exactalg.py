@@ -59,28 +59,11 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Exact arithmetic on raw coefficient values."""
+    """Exact arithmetic on raw coefficient values.
 
-    zero: object
-    one: object
-
-    def normalize(self, value):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    A subclass defines ``zero``, ``one`` and ``normalize(value)``,
+    ``add(a, b)``, ``sub(a, b)``, ``mul(a, b)``, ``neg(a)`` and ``inv(a)``.
+    """
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -395,12 +378,6 @@ class Polynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -761,9 +738,6 @@ class RationalFunction:
     def __post_init__(self):
         if self.denominator.is_zero():
             raise ZeroDivisionError("zero denominator")
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
 
     def __str__(self):
         if self.denominator.is_one():

@@ -233,22 +233,19 @@ def span_over_field(subspace: LinearSubspace) -> Optional[tuple]:
 def span_over_fractions(subspace: LinearSubspace) -> Optional[CramerWitness]:
     """Cramer witness for membership of y in the fraction-field span.
 
-    Requires an independent spanning set (`has_free_rank`).  The first row
-    set (lexicographically) with a nonzero maximal minor is used; the
-    candidate coefficients are verified on all components, so None means
+    Requires an independent spanning set (`has_free_rank`).  On the first
+    row set I (lexicographically) with a nonzero maximal minor, one
+    `kernel` of q_1, ..., q_d, y restricted to I gives det Q_I and the d
+    Cramer numerators; they are verified on all components, so None means
     y genuinely lies outside the span.
     """
     if not has_free_rank(subspace):
         raise ValueError("spanning vectors are dependent over the fraction field")
-    d = subspace.dim
     y = subspace.coordinate_target()
     index_set = subspace.pivot_rows
-    columns = [[q[i] for i in index_set] for q in subspace.basis]
-    target_part = [y[i] for i in index_set]
-    det_q = PolyMatrix.from_columns(columns).det()
-    numerators = [
-        PolyMatrix.from_columns(columns[:j] + [target_part] + columns[j + 1:]).det()
-        for j in range(d)]
+    *numerators, det_q = PolyMatrix([[v[i] for i in index_set]
+                                     for v in subspace.basis + (y,)]).kernel()
+    det_q = -det_q  # the kernel holds (mu, -det) up to sign
     # sum_j mu_j q_j = det * y clears the denominators of the check
     if combination(subspace, numerators) != tuple(det_q * comp for comp in y):
         return None

@@ -1,11 +1,11 @@
 """Exact linear algebra over polynomial rings, their fraction fields, and base fields.
 
-Polynomial matrices get determinants in two ways.  Up to
-`EXPANSION_LIMIT` rows, `det` expands by minors column by column, with no
-division; above it, and for the row basis over the fraction field, one
-fraction-free elimination runs row by row.  Scalar matrices get Gaussian
-elimination with a fixed pivot rule so solutions and nullspace bases are
-reproducible bit-exactly.
+Polynomial matrices get determinants and the kernel of a (d+1) x d matrix
+in two ways.  Up to `EXPANSION_LIMIT` columns, the expansion by minors
+column by column divides nothing; above it, and for the row basis over the
+fraction field, one fraction-free elimination runs row by row.  Scalar
+matrices get Gaussian elimination with a fixed pivot rule so solutions and
+nullspace bases are reproducible bit-exactly.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class ScalarMatrix:
     def __eq__(self, other):
         return (isinstance(other, ScalarMatrix) and self.field == other.field
                 and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.format(x) for x in row)
@@ -216,18 +213,21 @@ class PolyMatrix:
         rows, by the columns' elimination above it."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows <= EXPANSION_LIMIT:
-            return self._det_by_expansion()
-        return self._det_by_elimination()
+        if self.rows > EXPANSION_LIMIT:
+            return self._det_by_elimination()
+        minors = self._expand()  # its single entry, or none at det 0
+        return (minors.popitem()[1] if minors
+                else Polynomial.zero(self.nvars, self.field))
 
-    def _det_by_expansion(self) -> Polynomial:
+    def _expand(self) -> dict:
         """Division-free expansion by minors along the columns in turn.
 
         After column k, ``minors`` maps each (k+1)-row subset, as a bit
         mask, to its nonzero minor on those rows and columns 0..k.  The
         minor on S + {i} gains ``a[i][k] * minor(S)``, negated when an odd
         number of rows of S come after row i: the sign of the Laplace
-        expansion along the last column.
+        expansion along the last column, and the table ends holding the
+        nonzero maximal minors.
         """
         minors = {0: Polynomial.one(self.nvars, self.field)}
         for k in range(self.cols):
@@ -244,9 +244,7 @@ class PolyMatrix:
                     key = rows | bit
                     grown[key] = grown[key] + term if key in grown else term
             minors = {rows: m for rows, m in grown.items() if m}
-            if not minors:
-                return Polynomial.zero(self.nvars, self.field)
-        return minors.popitem()[1]
+        return minors
 
     def _det_by_elimination(self) -> Polynomial:
         """The last pivot of the columns' elimination, signed by the order
@@ -264,6 +262,36 @@ class PolyMatrix:
             last = reduced[i]
         inversions = sum(a > b for a, b in itertools.combinations(pivots, 2))
         return -last if inversions % 2 else last
+
+    def kernel(self) -> tuple:
+        """k with ``sum_i k_i row_i = 0`` for a (d+1) x d matrix T whose
+        first d rows are independent (else ValueError): k_i is ``(-1)^i``
+        times the minor without row i, up to one common sign.  Up to
+        `EXPANSION_LIMIT` columns `_expand` gives the minors; above it the
+        rows, extended by I, are reduced up to the first without a pivot
+        left of the tail: the last row, whose tail holds maximal minors of
+        ``[T | I]``, or a dependent one, whose tail ends in 0.
+        """
+        d = self.cols
+        if self.rows != d + 1:
+            raise ValueError("kernel needs one row more than columns")
+        zero = Polynomial.zero(self.nvars, self.field)
+        if d <= EXPANSION_LIMIT:
+            minors = self._expand()
+            full = (1 << (d + 1)) - 1
+            k = [minors.get(full ^ (1 << i), zero) for i in range(d + 1)]
+            k = [-m if i % 2 else m for i, m in enumerate(k)]
+        else:
+            one = Polynomial.one(self.nvars, self.field)
+            for c, k in self._reduce(
+                    row + tuple(one if j == i else zero for j in range(d + 1))
+                    for i, row in enumerate(self.entries)):
+                if c >= d:
+                    break
+            k = k[d:]
+        if not k[d]:
+            raise ValueError("the first rows of the matrix are dependent")
+        return tuple(k)
 
     def minors(self, s: int) -> list:
         """All s x s minors with their index sets, lexicographic in (rows, cols)."""

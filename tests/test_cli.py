@@ -537,6 +537,18 @@ def test_dense_rank_and_minor_checks_stay_polynomial(tmp_path, capsys):
     assert time.monotonic() - started < 1.0
     assert code == 2 and not out and "dependent over the fraction field" in err
 
+    # full rank: the Cramer witness comes from one kernel of a 25 x 24
+    # matrix (about 90 s when it took 25 separate determinants)
+    path = _write_instance(tmp_path, _dense_single_variable(24, 24))
+    started = time.monotonic()
+    code, out, _ = _run(capsys, ["decide-span-l", "--input", path, "--json"])
+    assert time.monotonic() - started < 10.0
+    assert code == 0 and json.loads(out)["outcome"] is True
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    code, out, _ = _run(capsys, ["verify", "--input", str(report), "--json"])
+    assert code == 0 and json.loads(out)["outcome"] is True
+
     forged = {"command": "decide-local", "outcome": False,
               "instance": _dense_single_variable(24, 23),
               "failure_witness": {
@@ -666,6 +678,17 @@ def test_every_witness_report_passes_verify(capsys, monkeypatch, tmp_path):
         else:
             with pytest.raises(ValueError, match="'outcome' contradicts"):
                 verify_report(flipped)
+
+
+def test_witness_bounds_without_a_fraction_witness(capsys, monkeypatch,
+                                                   tmp_path):
+    # y1 and y3 have no multiple in the span of (y2, 0, 0)
+    text = "field Q\nn 3\nkind linear-subspace\nq1 = [y2, 0, 0]\nend\n"
+    report = _report_for(capsys, monkeypatch, ["witness-bounds"], text)
+    assert report["outcome"] is False and report["witness"] is None
+    assert verify_report(report) == {"nothing_to_verify": True}
+    code, out, _ = _verify_file(capsys, tmp_path, report)
+    assert code == 0 and "outcome: true" in out
 
 
 def test_verify_checks_the_cramer_index_set(capsys, monkeypatch, tmp_path):

@@ -154,6 +154,40 @@ def test_witness_bounds_rejects_hand_built_witness():
     assert not report.ok
 
 
+def _with_lambda(witness, j, num, den):
+    """``witness`` with coefficient j replaced by the fraction num / den."""
+    from locspan import CramerWitness, RationalFunction
+    lambdas = list(witness.lambdas)
+    lambdas[j] = RationalFunction(num, den)
+    return CramerWitness(witness.index_set, tuple(lambdas),
+                         witness.denominator_lcm)
+
+
+def test_witness_bounds_flags_each_fraction_shape():
+    y1, y2, y3 = variables(3)
+    zero = Polynomial.zero(3, QQ)
+    # y = q1 + (y2 / y1) q2 + 0 q3, and m = y1 divides the one minor y1^3
+    subspace = LinearSubspace([(y1, zero, y3), (zero, y1, zero),
+                               (zero, zero, y1)])
+    witness = span_over_fractions(subspace)
+    assert [str(l) for l in witness.lambdas] == ["1", "(y2) / (y1)", "0"]
+    assert verify_witness_bounds(witness, subspace).ok
+    # a zero coefficient over y1, and y2 / y1 as 2 y2 / (2 y1): the identity
+    # and the divisibility still hold, only the fraction shape fails
+    for forged in (_with_lambda(witness, 2, zero, y1),
+                   _with_lambda(witness, 1, y2.scale(2), y1.scale(2))):
+        report = verify_witness_bounds(forged, subspace)
+        assert report.identity_ok and report.divisibility_ok
+        assert not report.fractions_ok
+    # coprime and monic, but of degree 4 > d.  The identity fails as well,
+    # whatever m: it needs each denominator to divide m, and divisibility
+    # needs m to divide the nonzero degree-3 minor
+    forged = _with_lambda(witness, 1, y2 ** 4, y1 ** 4)
+    report = verify_witness_bounds(forged, subspace)
+    assert report.lambda_degrees[1] == (4, 4) and report.divisibility_ok
+    assert not (report.fractions_ok or report.identity_ok)
+
+
 # -- local membership: closure --------------------------------------------------
 
 def test_closure_golden_family_holds():

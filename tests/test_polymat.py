@@ -8,20 +8,30 @@ import pytest
 
 from locspan import (
     QQ,
+    LinearSubspace,
     PolyMatrix,
     Polynomial,
     PrimeField,
     ScalarMatrix,
+    has_free_rank,
     local_membership_closure,
     local_only_example,
     nullspace_over_field,
     polymat,
     rank,
+    reduce_fraction,
     solve_over_field,
+    span_over_fractions,
 )
 from locspan.exactalg import exact_div
 
-from support import cofactor_det, random_polynomial, variables
+from support import (
+    cofactor_det,
+    random_linear_form,
+    random_nonzero_polynomial,
+    random_polynomial,
+    variables,
+)
 
 
 def test_det_2x2_formula():
@@ -100,12 +110,19 @@ def test_det_stops_at_the_first_column_without_pivot(monkeypatch, n):
     assert taken == [0, None]
 
 
-def _sparse_entries(rng, field, size):
-    """A square of sparse random entries of degree at most 1."""
+def _sparse_entries(rng, field, size, rows=None):
+    """Sparse random entries of degree at most 1: ``rows`` (a square by
+    default) rows of ``size``."""
     zero = Polynomial.zero(3, field)
     return [[random_polynomial(rng, 3, field, max_degree=1, max_terms=2)
              if rng.random() < 0.7 else zero for _ in range(size)]
-            for _ in range(size)]
+            for _ in range(size if rows is None else rows)]
+
+
+def _expanded_det(m):
+    """The determinant read from the expansion's table at any size."""
+    minors = m._expand()
+    return minors.popitem()[1] if minors else Polynomial.zero(m.nvars, m.field)
 
 
 def _matrix_with_degenerate_lines(rng, field, size, kind=None):
@@ -134,7 +151,7 @@ def test_expansion_equals_elimination(field):
     for size in range(1, polymat.EXPANSION_LIMIT + 1):
         for _ in range(6):
             m, kind = _matrix_with_degenerate_lines(rng, field, size)
-            det = m._det_by_expansion()
+            det = _expanded_det(m)
             assert det == m._det_by_elimination()
             kinds.add(kind)
             nonzero += not det.is_zero()
@@ -147,7 +164,123 @@ def test_expansion_equals_elimination(field):
     for size in sizes:
         m = PolyMatrix(_sparse_entries(rng, field, size))
         det = m.det()
-        assert det == m._det_by_expansion() and not det.is_zero()
+        assert det == _expanded_det(m) and not det.is_zero()
+
+
+def _signed_minors(m):
+    """((-1)^i M_i), M_i the minor of the tall ``m`` without row i, by
+    cofactor expansion."""
+    return [cofactor_det(m.submatrix([r for r in range(m.rows) if r != i],
+                                     range(m.cols))) * (-1) ** i
+            for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F3", "F5"])
+def test_kernel_is_the_signed_maximal_minors(field, monkeypatch):
+    rng = random.Random(21)
+    zero = Polynomial.zero(3, field)
+    pivots = []
+    reduce = PolyMatrix._reduce
+
+    def recording_reduce(self, rows):
+        for pivot, reduced in reduce(self, rows):
+            pivots.append(pivot)
+            yield pivot, reduced
+
+    monkeypatch.setattr(PolyMatrix, "_reduce", recording_reduce)
+    limit = polymat.EXPANSION_LIMIT
+    # above the limit the expansion of the whole tall matrix is the oracle;
+    # only F3 takes an 11 x 10 matrix: over Q or F5 it takes seconds
+    sizes = [*range(1, limit + 1), *range(1, 6), limit + 1]
+    if field == PrimeField(3):
+        sizes.append(limit + 2)
+    outcomes = set()
+    for size in sizes:
+        entries = _sparse_entries(rng, field, size, rows=size + 1)
+        if size > 2:
+            # row 0 starts with two zeros and row 1 with a nonzero entry, so
+            # the elimination's pivots come out of order
+            entries[0][:2] = [zero, zero]
+            entries[1][0] = random_nonzero_polynomial(rng, 3, field,
+                                                      max_degree=1)
+        m = PolyMatrix(entries)
+        if size <= limit:
+            expected = _signed_minors(m)
+        else:
+            table = m._expand()
+            expected = [table.get(((1 << m.rows) - 1) ^ (1 << i), zero)
+                        * (-1) ** i for i in range(m.rows)]
+        pivots.clear()
+        outcomes.add((size > limit, expected[-1].is_zero()))
+        if expected[-1].is_zero():
+            with pytest.raises(ValueError):
+                m.kernel()
+            continue
+        k = m.kernel()
+        assert k in (tuple(expected), tuple(-x for x in expected))
+        for c in range(size):
+            assert sum((k[i] * entries[i][c] for i in range(m.rows)),
+                       zero).is_zero()
+        if size > limit:
+            assert pivots[:size] != sorted(pivots[:size])
+    # both outcomes below the limit; above it, full rank every time
+    assert outcomes == {(False, False), (False, True), (True, False)}
+
+
+def test_kernel_refuses_dependent_leading_rows_and_other_shapes():
+    field = PrimeField(5)
+    rng = random.Random(22)
+    for size in (3, polymat.EXPANSION_LIMIT + 1):
+        entries = _sparse_entries(rng, field, size, rows=size + 1)
+        entries[1] = [p.scale(2) for p in entries[0]]
+        with pytest.raises(ValueError, match="dependent"):
+            PolyMatrix(entries).kernel()
+    square = PolyMatrix(_sparse_entries(rng, field, 3))
+    with pytest.raises(ValueError, match="one row more"):
+        square.kernel()
+
+
+def _cramer_instance(rng, n, field):
+    """n - 1 random vectors whose first two components are ``a_j y1`` and
+    ``a_j y2``, like y's: the first two basis rows are dependent, so the
+    Cramer rows skip one of them, and y stays in the fraction span (with
+    some a_j nonzero, so that y1 is reached)."""
+    y = variables(n, field)
+    while True:
+        vectors = []
+        for _ in range(n - 1):
+            a = rng.randint(-2, 2)
+            vectors.append((y[0].scale(a), y[1].scale(a),
+                            *(random_linear_form(rng, n, field)
+                              for _ in range(n - 2))))
+        try:
+            subspace = LinearSubspace(vectors)
+        except ValueError:
+            continue
+        if has_free_rank(subspace) and any(v[0] for v in vectors):
+            return subspace
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                         ids=["Q", "F3", "F5"])
+def test_span_over_fractions_is_cramer_per_column(field):
+    rng = random.Random(23)
+    for n in (3, 4, 4):
+        subspace = _cramer_instance(rng, n, field)
+        d, index_set = subspace.dim, subspace.pivot_rows
+        assert index_set != tuple(range(d))
+        y = subspace.coordinate_target()
+        columns = [[q[i] for i in index_set] for q in subspace.basis]
+        target = [y[i] for i in index_set]
+        det_q = cofactor_det(PolyMatrix.from_columns(columns))
+        expected = tuple(
+            reduce_fraction(cofactor_det(PolyMatrix.from_columns(
+                columns[:j] + [target] + columns[j + 1:])), det_q)
+            for j in range(d))
+        witness = span_over_fractions(subspace)
+        assert witness.index_set == index_set
+        assert witness.lambdas == expected
 
 
 @pytest.mark.parametrize("size", [polymat.EXPANSION_LIMIT, 12])
