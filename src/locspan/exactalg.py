@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 #: Degree of the zero polynomial.
@@ -61,8 +62,9 @@ def _is_prime(p: int) -> bool:
 class Field:
     """Exact arithmetic on raw coefficient values.
 
-    A subclass defines ``zero``, ``one`` and ``normalize(value)``,
-    ``add(a, b)``, ``sub(a, b)``, ``mul(a, b)``, ``neg(a)`` and ``inv(a)``.
+    A subclass defines ``zero``, ``one``, ``characteristic`` and
+    ``normalize(value)``, ``add(a, b)``, ``sub(a, b)``, ``mul(a, b)``,
+    ``neg(a)`` and ``inv(a)``.
     """
 
     def div(self, a, b):
@@ -92,6 +94,7 @@ class RationalField(Field):
 
     zero = Fraction(0)
     one = Fraction(1)
+    characteristic = 0
 
     def normalize(self, value):
         if isinstance(value, float):
@@ -138,7 +141,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = 0
         self.one = 1
 
@@ -222,7 +225,7 @@ class Polynomial:
     has an empty term map).
     """
 
-    __slots__ = ("nvars", "field", "terms", "_lead")
+    __slots__ = ("nvars", "field", "terms", "_lead", "_integer")
 
     def __init__(self, nvars: int, field: Field, terms=None):
         cleaned = {}
@@ -238,7 +241,7 @@ class Polynomial:
         self.nvars = nvars
         self.field = field
         self.terms = cleaned
-        self._lead = None
+        self._lead = self._integer = None
 
     @classmethod
     def _raw(cls, nvars: int, field: Field, terms: dict) -> "Polynomial":
@@ -248,7 +251,7 @@ class Polynomial:
         p.nvars = nvars
         p.field = field
         p.terms = terms
-        p._lead = None
+        p._lead = p._integer = None
         return p
 
     @classmethod
@@ -326,6 +329,30 @@ class Polynomial:
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]
+
+    def integer_form(self):
+        """``(lead monomial, lead coefficient, other terms)`` of the integer
+        multiple that division subtracts, found once.
+
+        Over Q it is primitive: denominators cleared, content removed, and a
+        positive leading coefficient.  Over F_p it is monic.
+        """
+        if self._integer is None:
+            lm, lc = self.leading_term()
+            p = self.field.characteristic
+            if p:
+                inv = pow(lc, -1, p)
+                ints = {m: c * inv % p for m, c in self.terms.items()}
+            else:
+                den = lcm(*(c.denominator for c in self.terms.values()))
+                ints = {m: c.numerator * (den // c.denominator)
+                        for m, c in self.terms.items()}
+                content = gcd(*ints.values())
+                if lc < 0:
+                    content = -content
+                ints = {m: c // content for m, c in ints.items()}
+            self._integer = lm, ints.pop(lm), tuple(ints.items())
+        return self._integer
 
     def leading_coefficient(self):
         return self.leading_term()[1]
@@ -515,15 +542,16 @@ def coordinate_vector(nvars: int, field: Field) -> tuple:
 # Exact division, gcd, lcm.
 
 class TermQueue:
-    """A working term map that gives up its terms largest first.
+    """The working term map of `try_exact_div`; it gives up its terms
+    largest first.
 
-    Division repeatedly removes the leading term of a working polynomial and
-    subtracts a multiple of a divisor.  A heap of ``(grevlex_desc_key(m), m)``
-    entries stands in for a rescan of the whole map at every step.  A
-    monomial cancelled after it was queued stays in the heap and is skipped
-    when popped.  Every monomial a subtraction adds is below the leading one
-    just removed, so a popped monomial never returns and that one check is
-    enough.
+    Exact division repeatedly removes the leading term of a working
+    polynomial and subtracts a multiple of the divisor.  A heap of
+    ``(grevlex_desc_key(m), m)`` entries stands in for a rescan of the whole
+    map at every step.  A monomial cancelled after it was queued stays in the
+    heap and is skipped when popped.  Every monomial a subtraction adds is
+    below the leading one just removed, so a popped monomial never returns
+    and that one check is enough.
     """
 
     __slots__ = ("terms", "field", "heap")

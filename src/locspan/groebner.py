@@ -6,8 +6,10 @@ normal selection strategy (smallest lcm degree first, ties by index pair),
 and the final basis is inter-reduced and monic, hence canonical for the
 ideal.  That selection order is kept by a heap of pairs, each keyed once on
 insertion; division likewise takes leading terms from a heap of the working
-polynomial's monomials (`TermQueue`), so every S-polynomial and remainder is
-the one a scan over all pairs or all terms would pick.  Radical membership
+polynomial's monomials, so every S-polynomial and remainder is the one a
+scan over all pairs or all terms would pick.  Division is fraction-free: it
+works on integer multiples of the polynomials (primitive over Q, monic over
+F_p) and divides the remainder back once at the end.  Radical membership
 adjoins a fresh last variable ``t`` and tests whether 1 lies in
 ``I + <1 - t*f>``.
 """
@@ -15,13 +17,15 @@ adjoins a fresh last variable ``t`` and tests whether 1 lies in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactalg import (
     Field,
     Polynomial,
-    TermQueue,
+    grevlex_desc_key,
     grevlex_key,
     monic,
     monomial_degree,
@@ -37,20 +41,59 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
 
     Divisors are tried in list order, so the result is deterministic; no
     term of the result is divisible by any divisor's leading term.
+
+    The division is fraction-free: it runs on ``f`` cleared of denominators
+    and on each divisor's `integer_form`.  To remove a leading term ``lc*m``
+    with a divisor ``G`` whose leading term is ``glc*glm`` (``glc > 0``), it
+    multiplies the working map and the remainder by ``a = glc/g`` and
+    subtracts ``b*(m/glm)*G``, where ``g = gcd(lc, glc)`` and ``b = lc/g``.
+    ``scale``, the cleared denominator times the product of the a's, turns
+    the integer remainder back into the field remainder.  Over F_p every
+    divisor form is monic, so a = 1, and coefficients are taken mod p.
     """
     field = f.field
-    table = [(*g.leading_term(), g.terms) for g in divisors if not g.is_zero()]
-    work = TermQueue(f.terms, field)
+    p = field.characteristic
+    table = [g.integer_form() for g in divisors if not g.is_zero()]
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    work = {m: c.numerator * (scale // c.denominator)
+            for m, c in f.terms.items()}
+    heap = [(grevlex_desc_key(m), m) for m in work]
+    heapify(heap)
     remainder: dict = {}
     while work:
-        lm, lc = work.pop_leading()
-        for glm, glc, gterms in table:
+        lm = heappop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue  # cancelled after it was queued
+        for glm, glc, tail in table:
             if monomial_divides(glm, lm):
-                work.subtract(field.div(lc, glc), monomial_div(lm, glm),
-                              gterms, glm)
                 break
         else:
             remainder[lm] = lc
+            continue
+        g = gcd(lc, glc)
+        a, b = glc // g, lc // g
+        if a != 1:
+            scale *= a
+            for m in work:
+                work[m] *= a
+            for m in remainder:
+                remainder[m] *= a
+        shift = monomial_div(lm, glm)
+        for gm, gc in tail:
+            m = monomial_mul(gm, shift)
+            old = work.get(m)
+            c = -b * gc if old is None else old - b * gc
+            if p:
+                c %= p
+            if c:
+                work[m] = c
+                if old is None:
+                    heappush(heap, (grevlex_desc_key(m), m))
+            elif old is not None:
+                del work[m]
+    if not p:
+        remainder = {m: Fraction(c, scale) for m, c in remainder.items()}
     return Polynomial._raw(f.nvars, field, remainder)
 
 

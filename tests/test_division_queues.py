@@ -9,6 +9,7 @@ which must give the same reduced basis.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from locspan import (
 )
 from locspan.exactalg import (
     Polynomial,
+    RationalField,
     TermQueue,
     grevlex_desc_key,
     grevlex_key,
@@ -329,3 +331,74 @@ def test_closure_normal_form_call_count_is_pinned(monkeypatch):
     monkeypatch.setattr(groebner, "normal_form", counting)
     assert local_membership_closure(local_only_example(7, 6)).holds
     assert len(calls) == 783
+
+
+# -- fraction-free division over Q ----------------------------------------------
+
+def _non_integer(rng):
+    """A nonzero rational with denominator 2 to 7 in lowest terms."""
+    while True:
+        den = rng.randint(2, 7)
+        num = rng.choice([-1, 1]) * rng.randint(1, 3 * den)
+        if num % den:
+            return Fraction(num, den)
+
+
+def _fraction_polynomial(rng, n, max_degree, max_terms):
+    """Non-integer coefficients throughout, and a leading coefficient that
+    is negative in about half the draws."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = _non_integer(rng)
+    lead = max(terms, key=grevlex_key)
+    terms[lead] = abs(terms[lead]) * rng.choice([-1, 1])
+    return Polynomial(n, QQ, terms)
+
+
+def test_normal_form_matches_linear_scan_on_fractions():
+    rng = random.Random(75)
+    negative_f = negative_divisor = nonzero = 0
+    for _ in range(150):
+        f = _fraction_polynomial(rng, 4, max_degree=4, max_terms=8)
+        divisors = [_fraction_polynomial(rng, 4, max_degree=3, max_terms=4)
+                    for _ in range(rng.randint(1, 4))]
+        got = normal_form(f, divisors)
+        assert _same(got, reference_normal_form(f, divisors))
+        negative_f += f.leading_coefficient() < 0
+        negative_divisor += any(g.leading_coefficient() < 0 for g in divisors)
+        nonzero += any(c.denominator > 1 for c in got.terms.values())
+    assert negative_f > 50 and negative_divisor > 50 and nonzero > 100
+
+
+def test_buchberger_matches_reference_on_fractions():
+    rng = random.Random(76)
+    for _ in range(40):
+        gens = [_fraction_polynomial(rng, 3, max_degree=3, max_terms=4)
+                for _ in range(rng.randint(2, 4))]
+        expected, _ = reference_buchberger(gens)
+        assert buchberger(gens).polys == expected
+
+
+def test_normal_form_over_q_does_no_fraction_arithmetic(monkeypatch):
+    """Division over Q runs on integers: the field's ``mul`` and ``sub``
+    are never called, though the reference division calls both."""
+    calls = {"mul": 0, "sub": 0}
+    for name in calls:
+        original = getattr(RationalField, name)
+
+        def counting(self, a, b, name=name, original=original):
+            calls[name] += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(RationalField, name, counting)
+    rng = random.Random(77)
+    f = _fraction_polynomial(rng, 4, max_degree=4, max_terms=8)
+    divisors = [_fraction_polynomial(rng, 4, max_degree=2, max_terms=4)
+                for _ in range(3)]
+    got = normal_form(f, divisors)
+    assert calls == {"mul": 0, "sub": 0}
+    assert _same(got, reference_normal_form(f, divisors))
+    assert calls["mul"] > 0 and calls["sub"] > 0
