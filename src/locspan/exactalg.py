@@ -217,6 +217,41 @@ def grevlex_desc_key(m: Monomial):
     return (-sum(m), m[::-1])
 
 
+# Packed monomials: one int per monomial.  Fields of ``width`` bits hold,
+# from the top, the total degree, then e_n down to e_1; the top bit of each
+# field is a guard bit that a packed monomial keeps clear.  While no field
+# overflows into its guard bit, the product of two monomials is the sum of
+# their packs, so the width must exceed every degree that can arise.
+
+def packed_width(degree: int) -> int:
+    """Field width for monomials of total degree at most ``degree``: its
+    bits and a guard bit, rounded up to whole bytes."""
+    return 8 * (degree.bit_length() // 8 + 1)
+
+
+def pack_monomial(m: Monomial, width: int) -> int:
+    packed = sum(m)
+    for e in reversed(m):
+        packed = packed << width | e
+    return packed
+
+
+def unpack_monomial(packed: int, nvars: int, width: int) -> Monomial:
+    field = (1 << width) - 1
+    return tuple(packed >> (i * width) & field for i in range(nvars))
+
+
+def packed_masks(nvars: int, width: int) -> tuple:
+    """``(guard, low)``: the guard bits of all nvars + 1 fields, and the
+    exponent fields below the degree.  ``a`` divides ``b`` exactly when
+    ``((b | guard) - a) & guard == guard`` (a field of b less the same field
+    of a borrows its guard bit only when it is the smaller), and the key
+    ``2*(m & low) - m``, the exponents less the degree, orders monomials
+    grevlex-largest first."""
+    guard = sum(1 << (width * i - 1) for i in range(1, nvars + 2))
+    return guard, (1 << (width * nvars)) - 1
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -225,7 +260,7 @@ class Polynomial:
     has an empty term map).
     """
 
-    __slots__ = ("nvars", "field", "terms", "_lead", "_integer")
+    __slots__ = ("nvars", "field", "terms", "_lead", "_cleared", "_integer")
 
     def __init__(self, nvars: int, field: Field, terms=None):
         cleaned = {}
@@ -241,7 +276,7 @@ class Polynomial:
         self.nvars = nvars
         self.field = field
         self.terms = cleaned
-        self._lead = self._integer = None
+        self._lead = self._cleared = self._integer = None
 
     @classmethod
     def _raw(cls, nvars: int, field: Field, terms: dict) -> "Polynomial":
@@ -251,7 +286,7 @@ class Polynomial:
         p.nvars = nvars
         p.field = field
         p.terms = terms
-        p._lead = p._integer = None
+        p._lead = p._cleared = p._integer = None
         return p
 
     @classmethod
@@ -330,29 +365,47 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]
 
-    def integer_form(self):
+    def cleared(self):
+        """``(den, ints)``, found once: ``den`` is the least common
+        denominator of the coefficients over Q and ``ints`` the term map of
+        ``den`` times the polynomial, with int coefficients.  Over F_p the
+        coefficients are ints already: ``(1, terms)``.  Callers must not
+        change ``ints``.
+        """
+        if self._cleared is None:
+            if self.field.characteristic:
+                self._cleared = 1, self.terms
+            else:
+                den = lcm(*(c.denominator for c in self.terms.values()))
+                self._cleared = den, {m: c.numerator * (den // c.denominator)
+                                      for m, c in self.terms.items()}
+        return self._cleared
+
+    def integer_form(self, width: int):
         """``(lead monomial, lead coefficient, other terms)`` of the integer
-        multiple that division subtracts, found once.
+        multiple that division subtracts, monomials packed at ``width``;
+        found once per width.
 
         Over Q it is primitive: denominators cleared, content removed, and a
         positive leading coefficient.  Over F_p it is monic.
         """
-        if self._integer is None:
+        if self._integer is None or self._integer[0] != width:
             lm, lc = self.leading_term()
+            ints = self.cleared()[1]
             p = self.field.characteristic
             if p:
                 inv = pow(lc, -1, p)
-                ints = {m: c * inv % p for m, c in self.terms.items()}
+                ints = {m: c * inv % p for m, c in ints.items()}
             else:
-                den = lcm(*(c.denominator for c in self.terms.values()))
-                ints = {m: c.numerator * (den // c.denominator)
-                        for m, c in self.terms.items()}
                 content = gcd(*ints.values())
                 if lc < 0:
                     content = -content
                 ints = {m: c // content for m, c in ints.items()}
-            self._integer = lm, ints.pop(lm), tuple(ints.items())
-        return self._integer
+            lead = ints.pop(lm)
+            self._integer = width, (
+                pack_monomial(lm, width), lead,
+                tuple((pack_monomial(m, width), c) for m, c in ints.items()))
+        return self._integer[1]
 
     def leading_coefficient(self):
         return self.leading_term()[1]

@@ -9,7 +9,10 @@ insertion; division likewise takes leading terms from a heap of the working
 polynomial's monomials, so every S-polynomial and remainder is the one a
 scan over all pairs or all terms would pick.  Division is fraction-free: it
 works on integer multiples of the polynomials (primitive over Q, monic over
-F_p) and divides the remainder back once at the end.  Radical membership
+F_p) and divides the remainder back once at the end.  Its monomials are
+packed into single ints (`exactalg.pack_monomial`), so a product is an
+addition, a divisibility test a mask test and a heap key one int; only the
+remainder is unpacked.  Radical membership
 adjoins a fresh last variable ``t`` and tests whether 1 lies in
 ``I + <1 - t*f>``.
 """
@@ -19,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .exactalg import (
     Field,
     Polynomial,
-    grevlex_desc_key,
     grevlex_key,
     monic,
     monomial_degree,
@@ -33,6 +35,10 @@ from .exactalg import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    pack_monomial,
+    packed_masks,
+    packed_width,
+    unpack_monomial,
 )
 
 
@@ -50,23 +56,37 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
     ``scale``, the cleared denominator times the product of the a's, turns
     the integer remainder back into the field remainder.  Over F_p every
     divisor form is monic, so a = 1, and coefficients are taken mod p.
+
+    Monomials are packed (see `pack_monomial` and `packed_masks`): a
+    product is an int sum, divisibility a mask test, and a min-heap of the
+    keys ``2*(m & low) - m`` pops the grevlex-largest first.  No term
+    reaches a degree above that of ``f`` or of a divisor's leading monomial
+    (grevlex is graded), so that maximum sets the width; only the remainder
+    is unpacked.
     """
-    field = f.field
+    if not f:
+        return f
+    field, n = f.field, f.nvars
     p = field.characteristic
-    table = [g.integer_form() for g in divisors if not g.is_zero()]
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    work = {m: c.numerator * (scale // c.denominator)
-            for m, c in f.terms.items()}
-    heap = [(grevlex_desc_key(m), m) for m in work]
+    divisors = [g for g in divisors if g]
+    width = packed_width(max([f.total_degree(),
+                              *(sum(g.leading_monomial()) for g in divisors)]))
+    guard, low = packed_masks(n, width)
+    table = [g.integer_form(width) for g in divisors]
+    scale, ints = f.cleared()
+    work = {pack_monomial(m, width): c for m, c in ints.items()}
+    heap = [2 * (m & low) - m for m in work]
     heapify(heap)
     remainder: dict = {}
     while work:
-        lm = heappop(heap)[1]
+        key = heappop(heap)
+        lm = 2 * (key & low) - key
         lc = work.pop(lm, None)
         if lc is None:
             continue  # cancelled after it was queued
+        guarded = lm | guard
         for glm, glc, tail in table:
-            if monomial_divides(glm, lm):
+            if (guarded - glm) & guard == guard:
                 break
         else:
             remainder[lm] = lc
@@ -79,9 +99,9 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
                 work[m] *= a
             for m in remainder:
                 remainder[m] *= a
-        shift = monomial_div(lm, glm)
+        shift = lm - glm
         for gm, gc in tail:
-            m = monomial_mul(gm, shift)
+            m = gm + shift
             old = work.get(m)
             c = -b * gc if old is None else old - b * gc
             if p:
@@ -89,12 +109,12 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
             if c:
                 work[m] = c
                 if old is None:
-                    heappush(heap, (grevlex_desc_key(m), m))
+                    heappush(heap, 2 * (m & low) - m)
             elif old is not None:
                 del work[m]
-    if not p:
-        remainder = {m: Fraction(c, scale) for m, c in remainder.items()}
-    return Polynomial._raw(f.nvars, field, remainder)
+    return Polynomial._raw(n, field, {
+        unpack_monomial(m, n, width): Fraction(c, scale) if not p else c
+        for m, c in remainder.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

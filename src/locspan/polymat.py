@@ -2,15 +2,20 @@
 
 Polynomial matrices get determinants and the kernel of a (d+1) x d matrix
 in two ways.  Up to `EXPANSION_LIMIT` columns, the expansion by minors
-column by column divides nothing; above it, and for the row basis over the
-fraction field, one fraction-free elimination runs row by row.  Scalar
-matrices get Gaussian elimination with a fixed pivot rule so solutions and
-nullspace bases are reproducible bit-exactly.
+column by column divides nothing and runs on int coefficients: each column
+is cleared of denominators over Q, and reduced mod p over F_p, and each
+minor is brought back into the field once at the end.  Above the limit, and
+for the row basis over the fraction field, one fraction-free elimination
+runs row by row.  Scalar matrices get Gaussian elimination with a fixed
+pivot rule so solutions and nullspace bases are reproducible bit-exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Optional, Sequence
 
 from .exactalg import Field, Polynomial, exact_div
@@ -22,7 +27,11 @@ from .exactalg import Field, Polynomial, exact_div
 #: it by milliseconds on dense ones.  The count doubles with every row (on
 #: a 2-core VM, a dense single-variable 12 x 12 took 0.34 s against 0.017 s
 #: by elimination), so larger matrices take the elimination, which is
-#: polynomial in n.
+#: polynomial in n.  Those timings were taken with `Fraction` products; on
+#: int coefficients the same dense matrices take 2.3 ms against 3.5 ms by
+#: elimination at 8 rows, 10 ms each at 10 and 44 ms against 14 ms at 12,
+#: so on dense entries the break-even is now near 10 rows.  The limit stays
+#: at 8 until a dense workload in the benchmark can show where to put it.
 EXPANSION_LIMIT = 8
 
 
@@ -206,7 +215,14 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
+        """The entries on the given rows and columns; they were checked when
+        this matrix was built, so they are not checked again."""
+        sub = object.__new__(PolyMatrix)
+        sub.rows, sub.cols = len(row_idx), len(col_idx)
+        sub.nvars, sub.field = self.nvars, self.field
+        sub.entries = tuple(tuple(self.entries[i][j] for j in col_idx)
+                            for i in row_idx)
+        return sub
 
     def det(self) -> Polynomial:
         """Exact determinant: expanded by minors up to `EXPANSION_LIMIT`
@@ -228,23 +244,52 @@ class PolyMatrix:
         number of rows of S come after row i: the sign of the Laplace
         expansion along the last column, and the table ends holding the
         nonzero maximal minors.
+
+        The table holds int term maps.  Over Q column k enters cleared to
+        the common denominator L_k of its entries, which multiplies every
+        minor alike by L_k, and each maximal minor is divided once by the
+        product of the L_k at the end.  Over F_p the sums are reduced mod p
+        once per column.
         """
-        minors = {0: Polynomial.one(self.nvars, self.field)}
-        for k in range(self.cols):
-            column = [(i, 1 << i, row[k]) for i, row in enumerate(self.entries)
-                      if row[k]]
+        p = self.field.characteristic
+        minors = {0: {(0,) * self.nvars: 1}}
+        scale = 1
+        for entries in zip(*self.entries):
+            column = [(i, 1 << i, d, ints) for i, (d, ints)
+                      in enumerate(map(Polynomial.cleared, entries)) if ints]
+            den = lcm(*(d for _, _, d, _ in column))
+            scale *= den
             grown = {}
             for rows, minor in minors.items():
-                for i, bit, entry in column:
+                minor = minor.items()
+                for i, bit, d, ints in column:
                     if rows & bit:
                         continue
-                    term = entry * minor
-                    if (rows >> i).bit_count() % 2:
-                        term = -term
                     key = rows | bit
-                    grown[key] = grown[key] + term if key in grown else term
-            minors = {rows: m for rows, m in grown.items() if m}
-        return minors
+                    acc = grown.get(key)
+                    if acc is None:
+                        acc = grown[key] = {}
+                    factor = den // d
+                    if (rows >> i).bit_count() % 2:
+                        factor = -factor
+                    for m1, c1 in ints.items():
+                        c1 *= factor
+                        for m2, c2 in minor:
+                            m = tuple(map(add, m1, m2))
+                            acc[m] = acc.get(m, 0) + c1 * c2
+            minors = {}
+            for rows, acc in grown.items():
+                if p:
+                    acc = {m: c % p for m, c in acc.items() if c % p}
+                else:
+                    acc = {m: c for m, c in acc.items() if c}
+                if acc:
+                    minors[rows] = acc
+        if not p:
+            minors = {rows: {m: Fraction(c, scale) for m, c in acc.items()}
+                      for rows, acc in minors.items()}
+        return {rows: Polynomial._raw(self.nvars, self.field, acc)
+                for rows, acc in minors.items()}
 
     def _det_by_elimination(self) -> Polynomial:
         """The last pivot of the columns' elimination, signed by the order

@@ -34,6 +34,7 @@ from locspan.exactalg import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    packed_width,
     try_exact_div,
 )
 from locspan.groebner import s_polynomial
@@ -402,3 +403,88 @@ def test_normal_form_over_q_does_no_fraction_arithmetic(monkeypatch):
     assert calls == {"mul": 0, "sub": 0}
     assert _same(got, reference_normal_form(f, divisors))
     assert calls["mul"] > 0 and calls["sub"] > 0
+
+
+# -- packed monomials -------------------------------------------------------------
+
+def test_packed_width_holds_the_degree_and_a_guard_bit():
+    widths = [packed_width(d) for d in (0, 1, 127, 128, 255, 32767, 32768)]
+    assert widths == [8, 8, 8, 16, 16, 16, 24]
+
+
+@over_fields
+def test_normal_form_across_a_width_step(field):
+    """Degrees 127 and 128 fall on both sides of the step from 8-bit to
+    16-bit fields (a field holds the degree below its guard bit), and f or
+    a divisor alone can set the width."""
+    y1, y2, y3 = variables(3, field)
+    rng = random.Random(80)
+    cases = [
+        (y1 ** 127 * y2, [y1 ** 128]),
+        (y1 ** 128, [y1 ** 127 * y2]),
+        (y1 ** 128 + y1 ** 127 * y2, [y1 ** 127]),
+        (y1 ** 127 + y2 ** 127, [y1 ** 126 - y2 ** 126]),
+        (y1 ** 127 * y2 + y3 ** 128, [y1 ** 128 + y2, y1 ** 127 - y3 ** 127]),
+        (y2 ** 126 * y3, [y1 ** 128 + y2 ** 5, y2 ** 126 - y1 * y3]),
+        (y1 ** 3 + y2, [y1 ** 256, y1 - y2]),
+    ]
+    for top in (126, 127, 128, 129, 255, 256):
+        def near(degree):
+            # a few terms of degree up to ``degree``, one of them y1^a*y2^b
+            a = rng.randint(degree - 2, degree)
+            terms = {(a, degree - a, 0): rng.randint(1, 4)}
+            for _ in range(rng.randint(1, 3)):
+                e = [rng.randint(0, degree // 3) for _ in range(3)]
+                terms[tuple(e)] = rng.randint(-4, 4)
+            return Polynomial(3, field, terms)
+        cases.append((near(top), [near(top - 1), near(top)]))
+    # the same divisors, so their cached packed forms, at widths 8, 16, 8
+    shared = [y1 ** 3 - y2 * y3, y2 ** 2 + y3]
+    for f in (y1 ** 7 * y2, y1 ** 200 * y3 + y2 ** 130, y1 ** 5 + y3 ** 4):
+        cases.append((f, shared))
+    reduced = nonzero = 0
+    for f, divisors in cases:
+        expected = reference_normal_form(f, divisors)
+        assert _same(normal_form(f, divisors), expected)
+        reduced += expected != f
+        nonzero += not expected.is_zero()
+    assert reduced >= 10 and nonzero >= 10
+
+
+def _random_form(rng, n, field, degree, max_terms):
+    """A nonzero homogeneous polynomial: generators of a proper ideal."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            mono = [0] * n
+            for _ in range(degree):
+                mono[rng.randrange(n)] += 1
+            terms[tuple(mono)] = rng.randint(-3, 3)
+        p = Polynomial(n, field, terms)
+        if p:
+            return p
+
+
+@over_fields
+def test_normal_form_in_a_rabinowitsch_ring(field):
+    """The radical test's n+1 variables: a basis of a proper ideal extended
+    by t and ``1 - t*f``, with f, f^2 and t^2*f divided by it."""
+    rng = random.Random(81)
+    n, ext = 3, 4
+    t = Polynomial.variable(n, ext, field)
+    one = Polynomial.one(ext, field)
+    units = remainders = 0
+    for _ in range(12):
+        gens = [_random_form(rng, n, field, 2, 3)
+                for _ in range(rng.randint(1, 2))]
+        f = _random_form(rng, n, field, rng.randint(1, 2), 3)
+        lifted = [g.extend(ext) for g in buchberger(gens).polys]
+        lifted.append(one - t * f.extend(ext))
+        expected, _ = reference_buchberger(lifted)
+        assert buchberger(lifted).polys == expected
+        units += any(g.is_one() for g in expected)
+        for h in (f.extend(ext), (f * f).extend(ext), t * t * f.extend(ext)):
+            got = normal_form(h, lifted)
+            assert _same(got, reference_normal_form(h, lifted))
+            remainders += not got.is_zero()
+    assert 0 < units < 12 and remainders >= 12

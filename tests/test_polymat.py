@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import locspan.groebner as groebner
 from locspan import (
     QQ,
     LinearSubspace,
@@ -23,7 +24,7 @@ from locspan import (
     solve_over_field,
     span_over_fractions,
 )
-from locspan.exactalg import exact_div
+from locspan.exactalg import RationalField, exact_div
 
 from support import (
     cofactor_det,
@@ -330,6 +331,190 @@ def test_closure_determinants_divide_nothing(monkeypatch):
     monkeypatch.setattr(polymat, "exact_div", counting_div)
     assert local_membership_closure(subspace).holds
     assert calls == []
+
+
+# -- the integer expansion against field arithmetic ---------------------------
+
+def reference_expand(m):
+    """The expansion by minors of `PolyMatrix._expand`, with `Polynomial`
+    products and sums on field coefficients: the oracle for its int table."""
+    minors = {0: Polynomial.one(m.nvars, m.field)}
+    for k in range(m.cols):
+        column = [(i, 1 << i, row[k]) for i, row in enumerate(m.entries)
+                  if row[k]]
+        grown = {}
+        for rows, minor in minors.items():
+            for i, bit, entry in column:
+                if rows & bit:
+                    continue
+                term = entry * minor
+                if (rows >> i).bit_count() % 2:
+                    term = -term
+                key = rows | bit
+                grown[key] = grown[key] + term if key in grown else term
+        minors = {rows: p for rows, p in grown.items() if p}
+    return minors
+
+
+def _reference_det(m):
+    minors = reference_expand(m)
+    return minors.popitem()[1] if minors else Polynomial.zero(m.nvars, m.field)
+
+
+#: Denominators of the rational matrices' coefficients, one per column.
+COLUMN_DENOMINATORS = (2, 3, 5, 7, 4, 9, 11, 6)
+
+
+def _matrix_for_expansion(rng, field, rows, cols, kind):
+    """Sparse entries of degree at most 1, then, by ``kind``: nothing (0),
+    a zero row (1), a zero column (2), a repeated row (3) or a column that
+    is a multiple of another (4).  Over Q the coefficients of column j are
+    ``k / COLUMN_DENOMINATORS[j]``, so the columns clear to different
+    denominators."""
+    zero = Polynomial.zero(3, field)
+
+    def coefficient(j):
+        if field == QQ:
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                            COLUMN_DENOMINATORS[j])
+        return rng.randrange(1, field.p)
+
+    def entry(j):
+        if rng.random() < 0.3:
+            return zero
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            mono = [0, 0, 0]
+            if rng.random() < 0.8:
+                mono[rng.randrange(3)] = 1
+            terms[tuple(mono)] = coefficient(j)
+        return Polynomial(3, field, terms)
+
+    entries = [[entry(j) for j in range(cols)] for _ in range(rows)]
+    i, j = rng.randrange(rows), rng.randrange(cols)
+    if kind == 1:
+        entries[i] = [zero] * cols
+    elif kind == 2:
+        for row in entries:
+            row[j] = zero
+    elif kind == 3 and rows > 1:
+        entries[i] = list(entries[(i + 1) % rows])
+    elif kind == 4 and cols > 1:
+        factor = Fraction(2, 3) if field == QQ else 2
+        for row in entries:
+            row[j] = row[(j + 1) % cols].scale(factor)
+    return PolyMatrix(entries)
+
+
+def _assert_canonical(p, field):
+    """Coefficients are what the field's own arithmetic would store."""
+    for c in p.terms.values():
+        if field == QQ:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 < c < field.p
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
+                                 ids=["Q", "F3", "F5"])
+
+
+@FIELDS
+def test_integer_expansion_matches_field_arithmetic(field):
+    rng = random.Random(24)
+    zero_dets = fractional = 0
+    for size in range(1, polymat.EXPANSION_LIMIT + 1):
+        for kind in range(5):
+            m = _matrix_for_expansion(rng, field, size, size, kind)
+            expected = _reference_det(m)
+            det = m.det()
+            assert det.terms == expected.terms
+            _assert_canonical(det, field)
+            zero_dets += det.is_zero()
+            fractional += any(getattr(c, "denominator", 1) > 1
+                              for c in det.terms.values())
+    assert zero_dets >= 20 and 40 - zero_dets >= 8
+    assert fractional >= 10 if field == QQ else fractional == 0
+
+
+@FIELDS
+def test_integer_minors_match_field_arithmetic(field):
+    rng = random.Random(25)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        m = _matrix_for_expansion(rng, field, rows, cols, rng.randrange(5))
+        for s in range(1, min(rows, cols) + 1):
+            got = m.minors(s)
+            assert [(r, c) for r, c, _ in got] == [
+                (r, c) for r in itertools.combinations(range(rows), s)
+                for c in itertools.combinations(range(cols), s)]
+            for r, c, minor in got:
+                assert minor.terms == _reference_det(m.submatrix(r, c)).terms
+                _assert_canonical(minor, field)
+
+
+@FIELDS
+def test_integer_kernel_matches_field_arithmetic(field):
+    rng = random.Random(26)
+    refused = 0
+    for d in range(1, polymat.EXPANSION_LIMIT):
+        for kind in range(5):
+            m = _matrix_for_expansion(rng, field, d + 1, d, kind)
+            table = reference_expand(m)
+            zero = Polynomial.zero(3, field)
+            expected = [table.get(((1 << (d + 1)) - 1) ^ (1 << i), zero)
+                        for i in range(d + 1)]
+            expected = [-x if i % 2 else x for i, x in enumerate(expected)]
+            if expected[d].is_zero():
+                with pytest.raises(ValueError, match="dependent"):
+                    m.kernel()
+                refused += 1
+                continue
+            k = m.kernel()
+            assert [x.terms for x in k] == [x.terms for x in expected]
+            for x in k:
+                _assert_canonical(x, field)
+    assert 5 <= refused < 30
+
+
+def test_closure_kernels_do_no_fraction_arithmetic(monkeypatch):
+    """Determinants and division run on ints: over Q, no call of the
+    field's ``mul`` or ``add`` comes from ``det()`` or ``normal_form``,
+    though the rest of a closure (S-polynomials, monic forms) makes some."""
+    calls = {"kernels": 0, "elsewhere": 0}
+    inside = []
+    for name in ("mul", "add"):
+        original = getattr(RationalField, name)
+
+        def counting(self, a, b, original=original):
+            calls["kernels" if inside else "elsewhere"] += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(RationalField, name, counting)
+
+    entered = {"det": 0, "normal_form": 0}
+
+    def kernel(name, original):
+        def wrapped(*args, **kwargs):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(PolyMatrix, "det", kernel("det", PolyMatrix.det))
+    monkeypatch.setattr(groebner, "normal_form",
+                        kernel("normal_form", groebner.normal_form))
+    rng = random.Random(27)
+    m = PolyMatrix(_sparse_entries(rng, QQ, polymat.EXPANSION_LIMIT))
+    det = m.det()
+    assert calls == {"kernels": 0, "elsewhere": 0}
+    assert local_membership_closure(local_only_example(5, 4)).holds
+    assert calls["kernels"] == 0 and calls["elsewhere"] > 0
+    assert entered["det"] > 100 and entered["normal_form"] > 10
+    assert not det.is_zero() and det.terms == _reference_det(m).terms
 
 
 def test_rank_over_fractions():
