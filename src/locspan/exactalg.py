@@ -11,6 +11,12 @@ gcds, lcms and reduced-fraction denominators are normalized to leading
 coefficient 1 under that order.  The gcd works by content/primitive-part
 recursion down to a subresultant remainder sequence in the last active
 variable.
+
+Division, both `normal_form` and exact division, runs in this module on
+monomials packed into single ints (`pack_monomial`, `packed_masks`) and
+on int coefficients: a product is an addition, a divisibility test a mask
+test and a heap key one int, and only the result is unpacked.  No other
+module sees the packed layout.
 """
 
 from __future__ import annotations
@@ -182,10 +188,6 @@ class PrimeField(Field):
 # ---------------------------------------------------------------------------
 # Monomials: plain exponent tuples, one entry per variable.
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """Whether the monomial with exponents ``a`` divides the one with ``b``."""
     return all(x <= y for x, y in zip(a, b))
@@ -202,19 +204,9 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def grevlex_key(m: Monomial):
     """Sort key: larger key = larger monomial in grevlex order."""
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def grevlex_desc_key(m: Monomial):
-    """Sort key: smaller key = larger monomial in grevlex order, so a
-    min-heap of ``(grevlex_desc_key(m), m)`` pops monomials largest first."""
-    return (-sum(m), m[::-1])
 
 
 # Packed monomials: one int per monomial.  Fields of ``width`` bits hold,
@@ -248,8 +240,8 @@ def packed_masks(nvars: int, width: int) -> tuple:
     of a borrows its guard bit only when it is the smaller), and the key
     ``2*(m & low) - m``, the exponents less the degree, orders monomials
     grevlex-largest first."""
-    guard = sum(1 << (width * i - 1) for i in range(1, nvars + 2))
-    return guard, (1 << (width * nvars)) - 1
+    ones = ((1 << width * (nvars + 1)) - 1) // ((1 << width) - 1)
+    return ones << (width - 1), (1 << (width * nvars)) - 1
 
 
 class Polynomial:
@@ -566,7 +558,7 @@ def format_polynomial(p: Polynomial) -> str:
         return "0"
     field = p.field
     pieces = []
-    for mono in sorted(p.terms, key=grevlex_desc_key):
+    for mono in sorted(p.terms, key=grevlex_key, reverse=True):
         coeff = p.terms[mono]
         negative = field.is_negative(coeff)
         magnitude = field.neg(coeff) if negative else coeff
@@ -592,84 +584,155 @@ def coordinate_vector(nvars: int, field: Field) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Exact division, gcd, lcm.
+# Division on packed monomials and int coefficients, then gcd and lcm.
 
-class TermQueue:
-    """The working term map of `try_exact_div`; it gives up its terms
-    largest first.
+def _packed_dividend(ints: dict, width: int, low: int):
+    """``(work, heap)``: the term map ``ints`` with monomials packed at
+    ``width``, and a min-heap of their keys ``2*(m & low) - m``, which pops
+    the grevlex-largest monomial first."""
+    work = {pack_monomial(m, width): c for m, c in ints.items()}
+    heap = [2 * (m & low) - m for m in work]
+    heapify(heap)
+    return work, heap
 
-    Exact division repeatedly removes the leading term of a working
-    polynomial and subtracts a multiple of the divisor.  A heap of
-    ``(grevlex_desc_key(m), m)`` entries stands in for a rescan of the whole
-    map at every step.  A monomial cancelled after it was queued stays in the
-    heap and is skipped when popped.  Every monomial a subtraction adds is
-    below the leading one just removed, so a popped monomial never returns
-    and that one check is enough.
+
+def _subtract_shifted(work: dict, heap: list, low: int, tail: tuple,
+                      shift: int, factor: int, p: int) -> None:
+    """Subtract ``factor`` times the packed divisor ``tail``, its monomials
+    shifted by ``shift``, from the packed working map; coefficients are
+    taken mod ``p`` when it is nonzero.  A new monomial joins the heap.  One
+    cancelled after it was queued stays there, and the caller skips it when
+    popped: every monomial added lies below the leading one just removed,
+    so a popped monomial never returns."""
+    for gm, gc in tail:
+        m = gm + shift
+        old = work.get(m)
+        c = -factor * gc if old is None else old - factor * gc
+        if p:
+            c %= p
+        if c:
+            work[m] = c
+            if old is None:
+                heappush(heap, 2 * (m & low) - m)
+        elif old is not None:
+            del work[m]
+
+
+def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of multivariate division of ``f`` by the listed divisors.
+
+    Divisors are tried in list order, so the result is deterministic; no
+    term of the result is divisible by any divisor's leading term.
+
+    The division is fraction-free: it runs on ``f`` cleared of denominators
+    and on each divisor's `integer_form`.  To remove a leading term ``lc*m``
+    with a divisor ``G`` whose leading term is ``glc*glm`` (``glc > 0``), it
+    multiplies the working map and the remainder by ``a = glc/g`` and
+    subtracts ``b*(m/glm)*G``, where ``g = gcd(lc, glc)`` and ``b = lc/g``.
+    ``scale``, the cleared denominator times the product of the a's, turns
+    the integer remainder back into the field remainder.  Over F_p every
+    divisor form is monic, so a = 1, and coefficients are taken mod p.
+
+    No term reaches a degree above that of ``f`` or of a divisor's leading
+    monomial (grevlex is graded), so that maximum sets the packed width;
+    only the remainder is unpacked.
     """
-
-    __slots__ = ("terms", "field", "heap")
-
-    def __init__(self, terms: dict, field: Field):
-        self.terms = dict(terms)
-        self.field = field
-        self.heap = [(grevlex_desc_key(m), m) for m in self.terms]
-        heapify(self.heap)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def pop_leading(self):
-        """Remove and return the leading ``(monomial, coefficient)``."""
-        terms, heap = self.terms, self.heap
-        while True:
-            m = heappop(heap)[1]
-            if m in terms:
-                return m, terms.pop(m)
-
-    def subtract(self, factor, shift: Monomial, divisor: dict,
-                 lead: Monomial) -> None:
-        """Subtract ``factor * y^shift * g`` for the divisor term map ``g``.
-
-        The term of ``lead``, the leading monomial of ``g``, is skipped: it
-        cancels the leading term the caller has already popped.
-        """
-        terms, heap = self.terms, self.heap
-        field = self.field
-        sub, mul, zero = field.sub, field.mul, field.zero
-        for gm, gc in divisor.items():
-            if gm == lead:
-                continue
-            m = monomial_mul(gm, shift)
-            old = terms.get(m)
-            c = sub(zero if old is None else old, mul(factor, gc))
-            if c == zero:
-                del terms[m]
-            else:
-                terms[m] = c
-                if old is None:
-                    heappush(heap, (grevlex_desc_key(m), m))
+    if not f:
+        return f
+    field, n = f.field, f.nvars
+    p = field.characteristic
+    divisors = [g for g in divisors if g]
+    width = packed_width(max([f.total_degree(),
+                              *(sum(g.leading_monomial()) for g in divisors)]))
+    guard, low = packed_masks(n, width)
+    table = [g.integer_form(width) for g in divisors]
+    scale, ints = f.cleared()
+    work, heap = _packed_dividend(ints, width, low)
+    remainder: dict = {}
+    while work:
+        key = heappop(heap)
+        lm = 2 * (key & low) - key
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue  # cancelled after it was queued
+        guarded = lm | guard
+        for glm, glc, tail in table:
+            if (guarded - glm) & guard == guard:
+                break
+        else:
+            remainder[lm] = lc
+            continue
+        g = gcd(lc, glc)
+        a, b = glc // g, lc // g
+        if a != 1:
+            scale *= a
+            for m in work:
+                work[m] *= a
+            for m in remainder:
+                remainder[m] *= a
+        _subtract_shifted(work, heap, low, tail, lm - glm, b, p)
+    return Polynomial._raw(n, field, {
+        unpack_monomial(m, n, width): Fraction(c, scale) if not p else c
+        for m, c in remainder.items()})
 
 
 def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
-    """Quotient ``a / b`` when ``b`` divides ``a`` exactly, else None."""
+    """Quotient ``a / b`` when ``b`` divides ``a`` exactly, else None.
+
+    Quotient terms are found largest first.  A one-term divisor shifts the
+    exponents of each term of ``a``.  Any other divisor runs the packed,
+    fraction-free loop of `normal_form` on ``a`` cleared of denominators,
+    ``scale*a``, and on ``B``, the `integer_form` of ``b``: primitive over
+    Q, monic over F_p.  By Gauss's lemma an exact quotient by a primitive
+    ``B`` has int coefficients, so each step divides the leading
+    coefficient by ``lc(B)`` with `divmod`, and the division is not exact
+    at the first nonzero remainder.  The int quotient times
+    ``lc(B) / (scale*lc(b))`` is the quotient.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     a._check(b)
     if a.is_zero():
         return a
-    field = a.field
+    field, n = a.field, a.nvars
     blm, blc = b.leading_term()
-    work = TermQueue(a.terms, field)
-    quotient: dict = {}
+    degree = a.total_degree()
+    if sum(blm) > degree:
+        return None  # and otherwise every term of b fits a's packed width
+    if len(b.terms) == 1:
+        inv, mul = field.inv(blc), field.mul
+        quotient = {}
+        for m in sorted(a.terms, key=grevlex_key, reverse=True):
+            shift = tuple(x - y for x, y in zip(m, blm))
+            if min(shift, default=0) < 0:
+                return None
+            quotient[shift] = mul(a.terms[m], inv)
+        return Polynomial._raw(n, field, quotient)
+    p = field.characteristic
+    width = packed_width(degree)
+    guard, low = packed_masks(n, width)
+    glm, glc, tail = b.integer_form(width)
+    scale, ints = a.cleared()
+    work, heap = _packed_dividend(ints, width, low)
+    quotient = {}
     while work:
-        lm, lc = work.pop_leading()
-        if not monomial_divides(blm, lm):
+        key = heappop(heap)
+        lm = 2 * (key & low) - key
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue  # cancelled after it was queued
+        if ((lm | guard) - glm) & guard != guard:
             return None
-        shift = monomial_div(lm, blm)
-        factor = field.div(lc, blc)
-        quotient[shift] = factor
-        work.subtract(factor, shift, b.terms, blm)
-    return Polynomial._raw(a.nvars, field, quotient)
+        q, r = divmod(lc, glc)
+        if r:
+            return None
+        shift = lm - glm
+        quotient[shift] = q
+        _subtract_shifted(work, heap, low, tail, shift, q, p)
+    factor = pow(blc, -1, p) if p else glc / (scale * blc)
+    return Polynomial._raw(n, field, {
+        unpack_monomial(m, n, width): q * factor % p if p else q * factor
+        for m, q in quotient.items()})
 
 
 def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -5,116 +5,30 @@ The monomial order is fixed: graded reverse lexicographic, the order of
 normal selection strategy (smallest lcm degree first, ties by index pair),
 and the final basis is inter-reduced and monic, hence canonical for the
 ideal.  That selection order is kept by a heap of pairs, each keyed once on
-insertion; division likewise takes leading terms from a heap of the working
-polynomial's monomials, so every S-polynomial and remainder is the one a
-scan over all pairs or all terms would pick.  Division is fraction-free: it
-works on integer multiples of the polynomials (primitive over Q, monic over
-F_p) and divides the remainder back once at the end.  Its monomials are
-packed into single ints (`exactalg.pack_monomial`), so a product is an
-addition, a divisibility test a mask test and a heap key one int; only the
-remainder is unpacked.  Radical membership
-adjoins a fresh last variable ``t`` and tests whether 1 lies in
+insertion, so every S-pair is the one a scan over all pairs would pick.
+Reduction is `exactalg.normal_form`, which this module re-exports under
+its own name and looks up here, so a wrapper set on
+``groebner.normal_form`` sees every reduction this module makes.  Radical
+membership adjoins a fresh last variable ``t`` and tests whether 1 lies in
 ``I + <1 - t*f>``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Optional
 
 from .exactalg import (
     Field,
     Polynomial,
     grevlex_key,
     monic,
-    monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
-    pack_monomial,
-    packed_masks,
-    packed_width,
-    unpack_monomial,
+    normal_form,
 )
-
-
-def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of multivariate division of ``f`` by the listed divisors.
-
-    Divisors are tried in list order, so the result is deterministic; no
-    term of the result is divisible by any divisor's leading term.
-
-    The division is fraction-free: it runs on ``f`` cleared of denominators
-    and on each divisor's `integer_form`.  To remove a leading term ``lc*m``
-    with a divisor ``G`` whose leading term is ``glc*glm`` (``glc > 0``), it
-    multiplies the working map and the remainder by ``a = glc/g`` and
-    subtracts ``b*(m/glm)*G``, where ``g = gcd(lc, glc)`` and ``b = lc/g``.
-    ``scale``, the cleared denominator times the product of the a's, turns
-    the integer remainder back into the field remainder.  Over F_p every
-    divisor form is monic, so a = 1, and coefficients are taken mod p.
-
-    Monomials are packed (see `pack_monomial` and `packed_masks`): a
-    product is an int sum, divisibility a mask test, and a min-heap of the
-    keys ``2*(m & low) - m`` pops the grevlex-largest first.  No term
-    reaches a degree above that of ``f`` or of a divisor's leading monomial
-    (grevlex is graded), so that maximum sets the width; only the remainder
-    is unpacked.
-    """
-    if not f:
-        return f
-    field, n = f.field, f.nvars
-    p = field.characteristic
-    divisors = [g for g in divisors if g]
-    width = packed_width(max([f.total_degree(),
-                              *(sum(g.leading_monomial()) for g in divisors)]))
-    guard, low = packed_masks(n, width)
-    table = [g.integer_form(width) for g in divisors]
-    scale, ints = f.cleared()
-    work = {pack_monomial(m, width): c for m, c in ints.items()}
-    heap = [2 * (m & low) - m for m in work]
-    heapify(heap)
-    remainder: dict = {}
-    while work:
-        key = heappop(heap)
-        lm = 2 * (key & low) - key
-        lc = work.pop(lm, None)
-        if lc is None:
-            continue  # cancelled after it was queued
-        guarded = lm | guard
-        for glm, glc, tail in table:
-            if (guarded - glm) & guard == guard:
-                break
-        else:
-            remainder[lm] = lc
-            continue
-        g = gcd(lc, glc)
-        a, b = glc // g, lc // g
-        if a != 1:
-            scale *= a
-            for m in work:
-                work[m] *= a
-            for m in remainder:
-                remainder[m] *= a
-        shift = lm - glm
-        for gm, gc in tail:
-            m = gm + shift
-            old = work.get(m)
-            c = -b * gc if old is None else old - b * gc
-            if p:
-                c %= p
-            if c:
-                work[m] = c
-                if old is None:
-                    heappush(heap, 2 * (m & low) - m)
-            elif old is not None:
-                del work[m]
-    return Polynomial._raw(n, field, {
-        unpack_monomial(m, n, width): Fraction(c, scale) if not p else c
-        for m, c in remainder.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -159,7 +73,7 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
 
     def add_pair(i, j):
         lcm = monomial_lcm(lms[i], lms[j])
-        heappush(queue, (monomial_degree(lcm), i, j, lcm))
+        heappush(queue, (sum(lcm), i, j, lcm))
         pairs.add((i, j))
 
     for j in range(len(basis)):
@@ -167,9 +81,9 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
             add_pair(i, j)
 
     while queue:
-        _, i, j, lcm = heappop(queue)
+        degree, i, j, lcm = heappop(queue)
         pairs.discard((i, j))
-        if lcm == monomial_mul(lms[i], lms[j]):
+        if degree == sum(lms[i]) + sum(lms[j]):
             continue  # product criterion: coprime leading monomials
         skip = False
         for k in range(len(basis)):

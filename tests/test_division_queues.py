@@ -26,14 +26,11 @@ from locspan import (
 from locspan.exactalg import (
     Polynomial,
     RationalField,
-    TermQueue,
-    grevlex_desc_key,
     grevlex_key,
-    monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
+    packed_masks,
     packed_width,
     try_exact_div,
 )
@@ -42,6 +39,7 @@ from locspan.groebner import s_polynomial
 from support import random_nonzero_polynomial, random_polynomial, variables
 
 F5 = PrimeField(5)
+F_BIG = PrimeField(2 ** 31 - 1)
 
 #: Seeded cases run over Q and F5; the ids name the one monomial order.
 over_fields = pytest.mark.parametrize("field", [QQ, F5],
@@ -49,6 +47,14 @@ over_fields = pytest.mark.parametrize("field", [QQ, F5],
 
 
 # -- references: the linear scans ---------------------------------------------
+
+def monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def monomial_degree(m):
+    return sum(m)
+
 
 def reference_normal_form(f, divisors):
     field = f.field
@@ -180,32 +186,7 @@ def _same(p, q):
 
 
 def _coeff_range(field):
-    return (-3, 3) if field == QQ else (0, 4)
-
-
-# -- descending keys ------------------------------------------------------------
-
-@pytest.mark.parametrize("key, desc_key", [(grevlex_key, grevlex_desc_key)])
-def test_desc_key_reverses_the_order(key, desc_key):
-    rng = random.Random(70)
-    monos = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(200)}
-    assert sorted(monos, key=key, reverse=True) == sorted(monos, key=desc_key)
-
-
-# -- the term queue ---------------------------------------------------------------
-
-def test_term_queue_skips_a_cancelled_then_requeued_monomial():
-    a, b, c = (2, 0, 0), (1, 1, 0), (0, 0, 1)
-    work = TermQueue({c: 1, b: 1, a: 1}, QQ)
-    assert work.pop_leading() == (a, 1)
-    # subtract a + b, whose leading a was popped: b cancels, stays queued
-    work.subtract(QQ.one, (0, 0, 0), {a: 1, b: 1}, a)
-    assert b not in work.terms
-    # subtract a - b: b reappears and is queued again
-    work.subtract(QQ.one, (0, 0, 0), {a: 1, b: -1}, a)
-    assert work.pop_leading() == (b, 1)
-    assert work.pop_leading() == (c, 1)           # second b entry skipped
-    assert not work
+    return (-3, 3) if field == QQ else (0, field.p - 1)
 
 
 # -- normal_form --------------------------------------------------------------
@@ -247,11 +228,34 @@ def test_try_exact_div_term_cancels_then_reappears():
     assert try_exact_div(b * q, b) == q
 
 
-@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+class _Kinds:
+    """Tally of the division cases a test has run."""
+
+    def __init__(self):
+        self.seen = dict.fromkeys(
+            ["exact", "inexact", "single", "constant", "one", "multi"], 0)
+
+    def check(self, a, b):
+        got = try_exact_div(a, b)
+        expected = reference_try_exact_div(a, b)
+        if expected is None:
+            assert got is None
+            self.seen["inexact"] += 1
+        else:
+            assert _same(got, expected)
+            self.seen["exact"] += 1
+        self.seen["single" if len(b.terms) == 1 else "multi"] += 1
+        self.seen["constant"] += b.is_constant()
+        self.seen["one"] += b.is_one()
+        return got
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F_BIG], ids=["Q", "F5", "F2^31-1"])
 def test_try_exact_div_matches_linear_scan(field):
     rng = random.Random(72)
     coeffs = _coeff_range(field)
-    exact = inexact = 0
+    kinds = _Kinds()
+    non_monic = 0
     for _ in range(150):
         b = random_nonzero_polynomial(rng, 3, field, max_degree=2,
                                       max_terms=4, coeff_range=coeffs)
@@ -260,15 +264,16 @@ def test_try_exact_div_matches_linear_scan(field):
         r = random_polynomial(rng, 3, field, max_degree=3, max_terms=2,
                               coeff_range=coeffs) if rng.random() < 0.5 else None
         a = b * q if r is None else b * q + r
-        got = try_exact_div(a, b)
-        expected = reference_try_exact_div(a, b)
-        if expected is None:
-            assert got is None
-            inexact += 1
-        else:
-            assert _same(got, expected)
-            exact += 1
-    assert exact > 30 and inexact > 30
+        kinds.check(a, b)
+        non_monic += b.leading_coefficient() != 1
+    one = Polynomial.one(3, field)
+    for b in (one, one.scale(2), one.scale(-1)):
+        a = random_nonzero_polynomial(rng, 3, field, max_degree=3,
+                                      max_terms=5, coeff_range=coeffs)
+        assert kinds.check(a, b) * b == a
+    assert all(count > 0 for count in kinds.seen.values()), kinds.seen
+    assert kinds.seen["exact"] > 30 and kinds.seen["inexact"] > 30
+    assert kinds.seen["multi"] > 30 and non_monic > 30
 
 
 # -- pair selection in buchberger -------------------------------------------------
@@ -488,3 +493,103 @@ def test_normal_form_in_a_rabinowitsch_ring(field):
             assert _same(got, reference_normal_form(h, lifted))
             remainders += not got.is_zero()
     assert 0 < units < 12 and remainders >= 12
+
+
+# -- exact division on packed ints ------------------------------------------------
+
+@pytest.mark.parametrize("width", [8, 16, 24])
+def test_packed_masks_guard_is_the_sum_of_field_guard_bits(width):
+    for nvars in range(1, 9):
+        guard, low = packed_masks(nvars, width)
+        assert guard == sum(1 << (width * i - 1) for i in range(1, nvars + 2))
+        assert low == (1 << (width * nvars)) - 1
+
+
+def test_try_exact_div_matches_linear_scan_on_fractions():
+    rng = random.Random(82)
+    kinds = _Kinds()
+    negative = 0
+    n = 3
+    for _ in range(200):
+        b = _fraction_polynomial(rng, n, max_degree=2, max_terms=4)
+        q = _fraction_polynomial(rng, n, max_degree=3, max_terms=5)
+        a = b * q
+        if rng.random() < 0.4:
+            a = a + _fraction_polynomial(rng, n, max_degree=3, max_terms=2)
+        kinds.check(a, b)
+        negative += b.leading_coefficient() < 0
+    one = Polynomial.one(n, QQ)
+    for b in (one, one.scale(Fraction(-2, 3)), one.scale(5)):
+        a = _fraction_polynomial(rng, n, max_degree=3, max_terms=5)
+        assert kinds.check(a, b) * b == a
+    assert negative > 50
+    assert all(count > 0 for count in kinds.seen.values()), kinds.seen
+    assert kinds.seen["inexact"] > 30 and kinds.seen["multi"] > 30
+
+
+def test_try_exact_div_inexact_on_a_coefficient_or_a_remainder():
+    y1, y2, y3 = variables(3)
+    b = 2 * y1 + 1
+    # every term of a is divisible by y1, but 1 is not divisible by 2
+    a = y1 ** 2 + y1
+    assert try_exact_div(a, b) is None
+    assert reference_try_exact_div(a, b) is None
+    # the same with fractions: cleared, a is y1^2 + y1 and b is 3*y1 + 1
+    assert try_exact_div(a.scale(Fraction(1, 3)),
+                         Fraction(3, 2) * y1 + Fraction(1, 2)) is None
+    # an exact product plus a term that b's leading monomial does not divide
+    q = y1 * y2 - 3 * y3
+    assert try_exact_div(b * q, b) == q
+    assert try_exact_div(b * q + y3 ** 2, b) is None
+    assert reference_try_exact_div(b * q + y3 ** 2, b) is None
+    # b's leading monomial has a higher degree than a
+    assert try_exact_div(y1 + y2, y1 ** 2 + y3) is None
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F_BIG], ids=["Q", "F5", "F2^31-1"])
+def test_try_exact_div_across_width_steps(field):
+    """Dividends of degree 127/128 and 255/256 fall on both sides of the
+    steps from 8- to 16-bit and within 16-bit fields."""
+    y1, y2, y3 = variables(3, field)
+    rng = random.Random(84)
+    kinds = _Kinds()
+    for top in (127, 128, 255, 256):
+        for _ in range(6):
+            bd = rng.randint(1, top - 1)
+            b = (y1 ** bd + 3 * y2 ** (bd - 1) * y3
+                 - 2 * y3 ** rng.randint(0, bd - 1))
+            q = (2 * y2 ** (top - bd) + y1 * y3 ** (top - bd - 1)
+                 - 5 * y2 ** rng.randint(0, top - bd - 1))
+            a = b * q
+            assert a.total_degree() == top
+            assert kinds.check(a, b) == q
+            kinds.check(a + y3 ** top, b)
+            kinds.check(a, y1 ** bd * 2)
+    assert kinds.seen["exact"] >= 24 and kinds.seen["inexact"] >= 24
+
+
+def test_try_exact_div_over_q_does_no_fraction_arithmetic(monkeypatch):
+    """A multi-term exact division over Q runs on ints: the field's ``mul``
+    and ``sub`` are never called, though the reference division calls
+    both."""
+    calls = {"mul": 0, "sub": 0}
+    for name in calls:
+        original = getattr(RationalField, name)
+
+        def counting(self, a, b, name=name, original=original):
+            calls[name] += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(RationalField, name, counting)
+    rng = random.Random(85)
+    b = _fraction_polynomial(rng, 4, max_degree=3, max_terms=4)
+    while len(b.terms) < 3:
+        b = _fraction_polynomial(rng, 4, max_degree=3, max_terms=4)
+    q = _fraction_polynomial(rng, 4, max_degree=3, max_terms=6)
+    a = b * q
+    calls.update(mul=0, sub=0)
+    got = try_exact_div(a, b)
+    assert calls == {"mul": 0, "sub": 0}
+    assert got == q
+    assert _same(got, reference_try_exact_div(a, b))
+    assert calls["mul"] > 0 and calls["sub"] > 0
