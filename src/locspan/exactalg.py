@@ -12,6 +12,10 @@ coefficient 1 under that order.  The gcd works by content/primitive-part
 recursion down to a subresultant remainder sequence in the last active
 variable.
 
+Every product, `Polynomial.__mul__` and the expansion by minors in
+`polymat`, runs one loop on int term maps (`add_product`), and
+`Polynomial.from_cleared` brings the result back into the field once.
+
 Division, both `normal_form` and exact division, runs in this module on
 monomials packed into single ints (`pack_monomial`, `packed_masks`) and
 on int coefficients: a product is an addition, a divisibility test a mask
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add
 from typing import Optional, Sequence
 
 #: Degree of the zero polynomial.
@@ -244,6 +249,18 @@ def packed_masks(nvars: int, width: int) -> tuple:
     return ones << (width - 1), (1 << (width * nvars)) - 1
 
 
+def add_product(acc: dict, a: dict, b: dict, factor: int = 1) -> dict:
+    """Add ``factor * a * b`` to ``acc`` and return it; all three are term
+    maps with int coefficients, and a sum that cancels stays as a 0."""
+    b = b.items()
+    for m1, c1 in a.items():
+        c1 *= factor
+        for m2, c2 in b:
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return acc
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -271,15 +288,26 @@ class Polynomial:
         self._lead = self._cleared = self._integer = None
 
     @classmethod
-    def _raw(cls, nvars: int, field: Field, terms: dict) -> "Polynomial":
+    def _raw(cls, nvars: int, field: Field, terms: dict, cleared=None):
         # internal fast path: terms must already be canonical, and no caller
         # may change the dict afterwards (the leading term is cached)
         p = object.__new__(cls)
         p.nvars = nvars
         p.field = field
         p.terms = terms
-        p._lead = p._cleared = p._integer = None
+        p._lead, p._cleared, p._integer = None, cleared, None
         return p
+
+    @classmethod
+    def from_cleared(cls, nvars: int, field: Field, den: int, ints: dict):
+        """``ints / den`` for an int term map, the inverse of `cleared`:
+        each term divided by ``den`` over Q, reduced mod p over F_p."""
+        p = field.characteristic
+        if p:
+            terms = {m: c % p for m, c in ints.items() if c % p}
+        else:
+            terms = {m: Fraction(c, den) for m, c in ints.items() if c}
+        return cls._raw(nvars, field, terms)
 
     @classmethod
     def zero(cls, nvars: int, field: Field) -> "Polynomial":
@@ -294,14 +322,15 @@ class Polynomial:
         v = field.normalize(value)
         if v == field.zero:
             return cls._raw(nvars, field, {})
-        return cls._raw(nvars, field, {(0,) * nvars: v})
+        zero, (num, den) = (0,) * nvars, v.as_integer_ratio()
+        return cls._raw(nvars, field, {zero: v}, (den, {zero: num}))
 
     @classmethod
     def variable(cls, index: int, nvars: int, field: Field) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for n={nvars}")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, field, {mono: field.one})
+        return cls._raw(nvars, field, {mono: field.one}, (1, {mono: 1}))
 
     # -- basic queries ------------------------------------------------------
 
@@ -457,28 +486,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                c = mul(c1, c2)
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    s = add(acc, c)
-                    if s == zero:
-                        del out[m]
-                    else:
-                        out[m] = s
-        return Polynomial._raw(self.nvars, field, out)
+        den1, ints1 = self.cleared()
+        den2, ints2 = other.cleared()
+        return Polynomial.from_cleared(self.nvars, self.field, den1 * den2,
+                                       add_product({}, ints1, ints2))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, value) -> "Polynomial":
         field = self.field
@@ -671,9 +684,8 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
             for m in remainder:
                 remainder[m] *= a
         _subtract_shifted(work, heap, low, tail, lm - glm, b, p)
-    return Polynomial._raw(n, field, {
-        unpack_monomial(m, n, width): Fraction(c, scale) if not p else c
-        for m, c in remainder.items()})
+    return Polynomial.from_cleared(n, field, scale, {
+        unpack_monomial(m, n, width): c for m, c in remainder.items()})
 
 
 def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
@@ -729,10 +741,10 @@ def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
         shift = lm - glm
         quotient[shift] = q
         _subtract_shifted(work, heap, low, tail, shift, q, p)
-    factor = pow(blc, -1, p) if p else glc / (scale * blc)
-    return Polynomial._raw(n, field, {
-        unpack_monomial(m, n, width): q * factor % p if p else q * factor
-        for m, q in quotient.items()})
+    num, den = ((pow(blc, -1, p), 1) if p else
+                (glc * blc.denominator, scale * blc.numerator))
+    return Polynomial.from_cleared(n, field, den, {
+        unpack_monomial(m, n, width): q * num for m, q in quotient.items()})
 
 
 def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -2,36 +2,34 @@
 
 Polynomial matrices get determinants and the kernel of a (d+1) x d matrix
 in two ways.  Up to `EXPANSION_LIMIT` columns, the expansion by minors
-column by column divides nothing and runs on int coefficients: each column
-is cleared of denominators over Q, and reduced mod p over F_p, and each
-minor is brought back into the field once at the end.  Above the limit, and
-for the row basis over the fraction field, one fraction-free elimination
-runs row by row.  Scalar matrices get Gaussian elimination with a fixed
-pivot rule so solutions and nullspace bases are reproducible bit-exactly.
+column by column divides nothing: each column is cleared of denominators
+over Q, and reduced mod p over F_p, and each minor is brought back into the
+field once at the end.  Above the limit, and for the row basis over the
+fraction field, one fraction-free elimination runs row by row.  Both
+multiply int term maps in `exactalg.add_product`.  Scalar matrices get
+Gaussian elimination with a fixed pivot rule so solutions and nullspace
+bases are reproducible bit-exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Optional, Sequence
 
-from .exactalg import Field, Polynomial, exact_div
+from .exactalg import Field, Polynomial, add_product, exact_div
 
 #: Largest matrix whose determinant is expanded by minors.  After column k
 #: the expansion holds one minor per (k+1)-row subset, so it makes at most
-#: n * 2^(n-1) products whatever the entries: 1024 at 8 rows, where it
-#: beats the elimination's exact divisions on sparse entries and loses to
-#: it by milliseconds on dense ones.  The count doubles with every row (on
-#: a 2-core VM, a dense single-variable 12 x 12 took 0.34 s against 0.017 s
-#: by elimination), so larger matrices take the elimination, which is
-#: polynomial in n.  Those timings were taken with `Fraction` products; on
-#: int coefficients the same dense matrices take 2.3 ms against 3.5 ms by
-#: elimination at 8 rows, 10 ms each at 10 and 44 ms against 14 ms at 12,
-#: so on dense entries the break-even is now near 10 rows.  The limit stays
-#: at 8 until a dense workload in the benchmark can show where to put it.
+#: n * 2^(n-1) products whatever the entries.  The count doubles with every
+#: row, so larger matrices take the elimination, which is polynomial in n.
+#: Both paths multiply int term maps.  On a 2-core VM, dense single-variable
+#: entries a*y1 + b took 5 ms by expansion against 12-21 ms by elimination
+#: at 8 rows, 40-50 ms against 30-45 ms at 10 and 0.23-0.26 s against
+#: 0.07-0.09 s at 12: on dense entries the break-even is near 10 rows.  On
+#: a sparse 10 x 9 matrix of degree-1 entries in 3 variables, `kernel()` by
+#: elimination took 0.2-0.3 s against 0.02-0.03 s by expansion.  The limit
+#: stays at 8 until a workload in the benchmark can show where to put it.
 EXPANSION_LIMIT = 8
 
 
@@ -247,8 +245,8 @@ class PolyMatrix:
 
         The table holds int term maps.  Over Q column k enters cleared to
         the common denominator L_k of its entries, which multiplies every
-        minor alike by L_k, and each maximal minor is divided once by the
-        product of the L_k at the end.  Over F_p the sums are reduced mod p
+        minor alike by L_k, and `from_cleared` divides each maximal minor
+        once by the product of the L_k.  Over F_p the sums are reduced mod p
         once per column.
         """
         p = self.field.characteristic
@@ -261,22 +259,14 @@ class PolyMatrix:
             scale *= den
             grown = {}
             for rows, minor in minors.items():
-                minor = minor.items()
                 for i, bit, d, ints in column:
                     if rows & bit:
                         continue
-                    key = rows | bit
-                    acc = grown.get(key)
-                    if acc is None:
-                        acc = grown[key] = {}
                     factor = den // d
                     if (rows >> i).bit_count() % 2:
                         factor = -factor
-                    for m1, c1 in ints.items():
-                        c1 *= factor
-                        for m2, c2 in minor:
-                            m = tuple(map(add, m1, m2))
-                            acc[m] = acc.get(m, 0) + c1 * c2
+                    add_product(grown.setdefault(rows | bit, {}), ints, minor,
+                                factor)
             minors = {}
             for rows, acc in grown.items():
                 if p:
@@ -285,10 +275,7 @@ class PolyMatrix:
                     acc = {m: c for m, c in acc.items() if c}
                 if acc:
                     minors[rows] = acc
-        if not p:
-            minors = {rows: {m: Fraction(c, scale) for m, c in acc.items()}
-                      for rows, acc in minors.items()}
-        return {rows: Polynomial._raw(self.nvars, self.field, acc)
+        return {rows: Polynomial.from_cleared(self.nvars, self.field, scale, acc)
                 for rows, acc in minors.items()}
 
     def _det_by_elimination(self) -> Polynomial:

@@ -91,6 +91,29 @@ def subspace_containing_target(rng, n, d, field=QQ):
             return subspace
 
 
+def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Independent product oracle: the field's own ``mul`` and ``add`` on
+    every pair of terms, where `Polynomial.__mul__` multiplies cleared int
+    term maps."""
+    a._check(b)
+    field = a.field
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            c = field.mul(c1, c2)
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                s = field.add(acc, c)
+                if s == field.zero:
+                    del out[m]
+                else:
+                    out[m] = s
+    return Polynomial._raw(a.nvars, field, out)
+
+
 def cofactor_det(matrix: PolyMatrix) -> Polynomial:
     """Independent determinant oracle: recursive cofactor expansion."""
     n = matrix.rows
@@ -105,6 +128,6 @@ def cofactor_det(matrix: PolyMatrix) -> Polynomial:
             continue
         cols = [c for c in range(n) if c != j]
         minor = cofactor_det(matrix.submatrix(rest_rows, cols))
-        term = entry * minor
+        term = reference_mul(entry, minor)
         total = total + (term if j % 2 == 0 else -term)
     return total

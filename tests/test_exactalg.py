@@ -17,13 +17,20 @@ from locspan import (
 )
 from locspan.exactalg import (
     MAX_MODULUS,
+    RationalField,
     _is_prime,
     exact_div,
     format_polynomial,
     try_exact_div,
 )
 
-from support import const, random_nonzero_polynomial, random_polynomial, variables
+from support import (
+    const,
+    random_nonzero_polynomial,
+    random_polynomial,
+    reference_mul,
+    variables,
+)
 
 
 def test_addition_cancels():
@@ -158,6 +165,107 @@ def test_ring_axioms_random():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+# -- the int product against field arithmetic ---------------------------------
+
+PRODUCT_FIELDS = pytest.mark.parametrize(
+    "field", [QQ, PrimeField(3), PrimeField(5), PrimeField(2 ** 31 - 1)],
+    ids=["Q", "F3", "F5", "F2^31-1"])
+
+
+def _random_operand(rng, field):
+    """Up to five terms in three variables with coefficients of either sign;
+    over Q each operand draws its own denominator, over F_p coefficients
+    range over several multiples of p."""
+    den = rng.choice((1, 2, 3, 4, 6, 7, 10))
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = tuple(rng.randint(0, 2) for _ in range(3))
+        if field == QQ:
+            terms[mono] = Fraction(rng.randint(-9, 9), den)
+        else:
+            terms[mono] = rng.randint(-3 * field.p, 3 * field.p)
+    return Polynomial(3, field, terms)
+
+
+def _assert_same_product(a, b, field):
+    """``a * b`` has the term map and coefficient types of `reference_mul`;
+    returns whether some term of the product cancelled."""
+    got, expected = a * b, reference_mul(a, b)
+    assert got.terms == expected.terms
+    for c in got.terms.values():
+        if field == QQ:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int and 0 < c < field.p
+    sums = {tuple(x + y for x, y in zip(m1, m2))
+            for m1 in a.terms for m2 in b.terms}
+    return len(sums) > len(got.terms)
+
+
+@PRODUCT_FIELDS
+def test_int_product_matches_field_arithmetic(field):
+    rng = random.Random(31)
+    n = 3
+    y1, y2, y3 = (Polynomial.variable(i, n, field) for i in range(n))
+    zero = Polynomial.zero(n, field)
+    minus_one = field.normalize(-1)
+    special = [
+        zero,
+        Polynomial.constant(Fraction(-2, 7), n, field),
+        Polynomial.constant(field.one, n, field),
+        y2,
+        y1.scale(Fraction(3, 7)),
+        y1 + y2,
+        y1 - y2,
+        # its int form holds p - 1, and with y1 + y2 a pair sums to p
+        y1 + y2.scale(minus_one),
+        y1 * y3 - y2.scale(Fraction(5, 2)) + 1,
+    ]
+    operands = special + [_random_operand(rng, field) for _ in range(25)]
+    cancelled = 0
+    for a in operands:
+        for b in operands:
+            cancelled += _assert_same_product(a, b, field)
+    assert cancelled >= 4
+    # (a+b)(a-b), a difference of cubes, and over F_p the pair whose int
+    # coefficients 1 and p - 1 sum to p
+    for a, b in [(y1 + y2, y1 - y2),
+                 (y1 - y3.scale(Fraction(1, 2)),
+                  y1 * y1 + (y1 * y3).scale(Fraction(1, 2))
+                  + (y3 * y3).scale(Fraction(1, 4))),
+                 (y1 + y2, y1 + y2.scale(minus_one))]:
+        assert _assert_same_product(a, b, field)
+    assert (y1 + y2) * (y1 + y2.scale(minus_one)) == y1 * y1 - y2 * y2
+    for a in operands[:12]:
+        for scalar in (0, 1, -3, Fraction(-2, 7), Fraction(4, 11)):
+            expected = reference_mul(a, Polynomial.constant(scalar, n, field))
+            assert (a * scalar).terms == expected.terms
+            assert (scalar * a).terms == expected.terms
+
+
+def test_product_over_q_makes_no_fraction_arithmetic(monkeypatch):
+    """Over Q a product of multi-term polynomials with fractional
+    coefficients multiplies and sums ints: the field's ``mul`` and ``add``
+    are never called."""
+    rng = random.Random(32)
+    pairs = [(_random_operand(rng, QQ), _random_operand(rng, QQ))
+             for _ in range(20)]
+    pairs = [(a, b) for a, b in pairs if len(a.terms) > 1 and len(b.terms) > 1
+             and any(c.denominator > 1 for c in (*a.terms.values(),
+                                                  *b.terms.values()))]
+    assert len(pairs) >= 5
+
+    def refuse(self, a, b):
+        raise AssertionError("Fraction arithmetic in a product")
+
+    monkeypatch.setattr(RationalField, "mul", refuse)
+    monkeypatch.setattr(RationalField, "add", refuse)
+    products = [a * b for a, b in pairs]
+    monkeypatch.undo()
+    for (a, b), product in zip(pairs, products):
+        assert product.terms == reference_mul(a, b).terms
 
 
 def test_gcd_lcm_product_random():

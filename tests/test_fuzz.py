@@ -3,10 +3,11 @@
 Instance text goes to ``decide-span-f`` and ``perp``: arbitrary text, lines
 of instance-file fragments, and well-formed instances over small random
 expressions.  Golden JSON reports with one node replaced
-or one key removed go to ``verify``.  ``run_command`` must return one of
-the documented exit codes and never raise.  Hypothesis runs derandomized
-and without an example database, so every run is the same and stores no
-examples.
+or one key removed go to ``verify``.  Arbitrary bytes, undecodable ones
+included, go to all three through an ``--input`` file.  ``run_command``
+must return one of the documented exit codes and never raise.  Hypothesis
+runs derandomized and without an example database, so every run is the
+same and stores no examples.
 """
 
 import contextlib
@@ -115,6 +116,24 @@ def test_decide_span_f_survives_assembled_instances(text):
 @given(_assembled(matrix=True))
 def test_perp_survives_assembled_instances(text):
     assert _run(["perp"], text)[0] in (0, 2, 3)
+
+
+# -- raw bytes ---------------------------------------------------------------
+
+@FUZZ
+@given(st.sampled_from(["decide-span-f", "perp", "verify"]),
+       st.binary(max_size=300))
+def test_input_files_of_any_bytes_survive(tmp_path_factory, command, data):
+    path = tmp_path_factory.mktemp("bytes") / "input"
+    path.write_bytes(data)
+    assert _run([command, "--input", str(path)], "")[0] in (0, 2, 3)
+
+
+def test_undecodable_input_exits_2(tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"field Q\nn 2\n\xff\xfe\n")
+    for command in ("decide-span-f", "perp", "verify"):
+        assert _run([command, "--input", str(path)], "")[0] == 2
 
 
 # -- tampered reports --------------------------------------------------------

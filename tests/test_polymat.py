@@ -31,6 +31,7 @@ from support import (
     random_linear_form,
     random_nonzero_polynomial,
     random_polynomial,
+    reference_mul,
     variables,
 )
 
@@ -336,8 +337,9 @@ def test_closure_determinants_divide_nothing(monkeypatch):
 # -- the integer expansion against field arithmetic ---------------------------
 
 def reference_expand(m):
-    """The expansion by minors of `PolyMatrix._expand`, with `Polynomial`
-    products and sums on field coefficients: the oracle for its int table."""
+    """The expansion by minors of `PolyMatrix._expand`, with products and
+    sums on field coefficients (`reference_mul`, `Polynomial` sums): the
+    oracle for its int table."""
     minors = {0: Polynomial.one(m.nvars, m.field)}
     for k in range(m.cols):
         column = [(i, 1 << i, row[k]) for i, row in enumerate(m.entries)
@@ -347,7 +349,7 @@ def reference_expand(m):
             for i, bit, entry in column:
                 if rows & bit:
                     continue
-                term = entry * minor
+                term = reference_mul(entry, minor)
                 if (rows >> i).bit_count() % 2:
                     term = -term
                 key = rows | bit
@@ -479,8 +481,9 @@ def test_integer_kernel_matches_field_arithmetic(field):
 
 def test_closure_kernels_do_no_fraction_arithmetic(monkeypatch):
     """Determinants and division run on ints: over Q, no call of the
-    field's ``mul`` or ``add`` comes from ``det()`` or ``normal_form``,
-    though the rest of a closure (S-polynomials, monic forms) makes some."""
+    field's ``mul`` or ``add`` comes from ``det()`` or ``normal_form``.
+    Products never make one; the rest of a closure still does, in the sums
+    of S-polynomials, `scale` and `monic`."""
     calls = {"kernels": 0, "elsewhere": 0}
     inside = []
     for name in ("mul", "add"):
