@@ -19,8 +19,8 @@ Every product, `Polynomial.__mul__` and the expansion by minors in
 Division, both `normal_form` and exact division, runs in this module on
 monomials packed into single ints (`pack_monomial`, `packed_masks`) and
 on int coefficients: a product is an addition, a divisibility test a mask
-test and a heap key one int, and only the result is unpacked.  No other
-module sees the packed layout.
+test and a heap key one int, and only the result is unpacked.  The layout is
+read here and in `groebner.buchberger`, which reduces by `reduce_packed`.
 """
 
 from __future__ import annotations
@@ -193,22 +193,6 @@ class PrimeField(Field):
 # ---------------------------------------------------------------------------
 # Monomials: plain exponent tuples, one entry per variable.
 
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """Whether the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    quo = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in quo):
-        raise ValueError(f"monomial {b} does not divide {a}")
-    return quo
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def grevlex_key(m: Monomial):
     """Sort key: larger key = larger monomial in grevlex order."""
     return (sum(m), tuple(-e for e in reversed(m)))
@@ -247,6 +231,20 @@ def packed_masks(nvars: int, width: int) -> tuple:
     grevlex-largest first."""
     ones = ((1 << width * (nvars + 1)) - 1) // ((1 << width) - 1)
     return ones << (width - 1), (1 << (width * nvars)) - 1
+
+
+def packed_lcm(a: int, b: int, width: int, guard: int, low: int) -> tuple:
+    """``(degree, lcm)`` of packed monomials: the lcm takes from a the fields
+    where ``(a | guard) - b`` keeps the guard bit, the rest from b; times
+    ``low // field``, its exponents sum into the top field.  The degree may
+    pass the capacity (the lcm is then no monomial) but not twice it."""
+    a, b = a & low, b & low
+    larger = ((a | guard) - b) & guard
+    pick = larger - (larger >> (width - 1))
+    exponents = a & pick | b & ~pick
+    field, top = (1 << width) - 1, low.bit_length()
+    degree = exponents * (low // field) >> (top - width) & field
+    return degree, exponents | degree << top
 
 
 def add_product(acc: dict, a: dict, b: dict, factor: int = 1) -> dict:
@@ -411,21 +409,12 @@ class Polynomial:
         positive leading coefficient.  Over F_p it is monic.
         """
         if self._integer is None or self._integer[0] != width:
-            lm, lc = self.leading_term()
-            ints = self.cleared()[1]
-            p = self.field.characteristic
-            if p:
-                inv = pow(lc, -1, p)
-                ints = {m: c * inv % p for m, c in ints.items()}
-            else:
-                content = gcd(*ints.values())
-                if lc < 0:
-                    content = -content
-                ints = {m: c // content for m, c in ints.items()}
-            lead = ints.pop(lm)
+            lm, lead, tail = primitive_form(
+                self.cleared()[1], self.leading_monomial(),
+                self.field.characteristic)
             self._integer = width, (
                 pack_monomial(lm, width), lead,
-                tuple((pack_monomial(m, width), c) for m, c in ints.items()))
+                tuple((pack_monomial(m, width), c) for m, c in tail))
         return self._integer[1]
 
     def leading_coefficient(self):
@@ -599,18 +588,33 @@ def coordinate_vector(nvars: int, field: Field) -> tuple:
 # ---------------------------------------------------------------------------
 # Division on packed monomials and int coefficients, then gcd and lcm.
 
-def _packed_dividend(ints: dict, width: int, low: int):
-    """``(work, heap)``: the term map ``ints`` with monomials packed at
-    ``width``, and a min-heap of their keys ``2*(m & low) - m``, which pops
-    the grevlex-largest monomial first."""
-    work = {pack_monomial(m, width): c for m, c in ints.items()}
+def packed_heap(work: dict, low: int) -> list:
+    """A min-heap of the keys ``2*(m & low) - m`` of the packed monomials of
+    ``work``; it pops the grevlex-largest monomial first."""
     heap = [2 * (m & low) - m for m in work]
     heapify(heap)
-    return work, heap
+    return heap
 
 
-def _subtract_shifted(work: dict, heap: list, low: int, tail: tuple,
-                      shift: int, factor: int, p: int) -> None:
+def primitive_form(ints: dict, lm, p: int) -> tuple:
+    """``(lm, lc, tail)`` of the int term map ``ints`` with leading monomial
+    ``lm``, made primitive with a positive leading coefficient over Q
+    (``p == 0``) and monic over F_p; ``tail`` keeps the order of ``ints``."""
+    lc = ints[lm]
+    if p:
+        inv = pow(lc, -1, p)
+        ints = {m: c * inv % p for m, c in ints.items()}
+    else:
+        content = gcd(*ints.values())
+        if lc < 0:
+            content = -content
+        ints = {m: c // content for m, c in ints.items()}
+    lc = ints.pop(lm)
+    return lm, lc, tuple(ints.items())
+
+
+def subtract_shifted(work: dict, heap: list, low: int, tail: tuple,
+                     shift: int, factor: int, p: int) -> None:
     """Subtract ``factor`` times the packed divisor ``tail``, its monomials
     shifted by ``shift``, from the packed working map; coefficients are
     taken mod ``p`` when it is nonzero.  A new monomial joins the heap.  One
@@ -631,37 +635,18 @@ def _subtract_shifted(work: dict, heap: list, low: int, tail: tuple,
             del work[m]
 
 
-def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of multivariate division of ``f`` by the listed divisors.
-
-    Divisors are tried in list order, so the result is deterministic; no
-    term of the result is divisible by any divisor's leading term.
-
-    The division is fraction-free: it runs on ``f`` cleared of denominators
-    and on each divisor's `integer_form`.  To remove a leading term ``lc*m``
-    with a divisor ``G`` whose leading term is ``glc*glm`` (``glc > 0``), it
-    multiplies the working map and the remainder by ``a = glc/g`` and
-    subtracts ``b*(m/glm)*G``, where ``g = gcd(lc, glc)`` and ``b = lc/g``.
-    ``scale``, the cleared denominator times the product of the a's, turns
-    the integer remainder back into the field remainder.  Over F_p every
-    divisor form is monic, so a = 1, and coefficients are taken mod p.
-
-    No term reaches a degree above that of ``f`` or of a divisor's leading
-    monomial (grevlex is graded), so that maximum sets the packed width;
-    only the remainder is unpacked.
-    """
-    if not f:
-        return f
-    field, n = f.field, f.nvars
-    p = field.characteristic
-    divisors = [g for g in divisors if g]
-    width = packed_width(max([f.total_degree(),
-                              *(sum(g.leading_monomial()) for g in divisors)]))
-    guard, low = packed_masks(n, width)
-    table = [g.integer_form(width) for g in divisors]
-    scale, ints = f.cleared()
-    work, heap = _packed_dividend(ints, width, low)
-    remainder: dict = {}
+def reduce_packed(work: dict, heap: list, table: Sequence, guard: int,
+                  low: int, p: int) -> tuple:
+    """``(factor, remainder)``: fraction-free division of the packed int
+    map ``work`` (consumed; its keys queued in ``heap``) by the divisor
+    forms ``(glm, glc, tail)`` of ``table``, tried in list order.  A leading
+    term ``lc*m`` that ``glm`` divides goes by multiplying the working map
+    and the remainder by ``a = glc/g`` and subtracting ``b*(m/glm)*tail``,
+    where ``g = gcd(lc, glc)`` and ``b = lc/g``.  The remainder (terms
+    grevlex-descending) is ``factor``, the product of the a's, times that
+    of ``work``.  Over F_p forms are monic, so a = 1; coefficients are
+    taken mod p."""
+    factor, remainder = 1, {}
     while work:
         key = heappop(heap)
         lm = 2 * (key & low) - key
@@ -678,13 +663,38 @@ def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
         g = gcd(lc, glc)
         a, b = glc // g, lc // g
         if a != 1:
-            scale *= a
+            factor *= a
             for m in work:
                 work[m] *= a
             for m in remainder:
                 remainder[m] *= a
-        _subtract_shifted(work, heap, low, tail, lm - glm, b, p)
-    return Polynomial.from_cleared(n, field, scale, {
+        subtract_shifted(work, heap, low, tail, lm - glm, b, p)
+    return factor, remainder
+
+
+def normal_form(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of multivariate division of ``f`` by the listed divisors.
+
+    Divisors are tried in list order, so the result is deterministic; no
+    term of the result is divisible by any divisor's leading term.
+
+    `reduce_packed` divides ``f`` cleared of denominators by the divisors'
+    `integer_form` at the width that the largest degree of ``f`` or of a
+    leading monomial sets (grevlex is graded, so no term passes it).
+    """
+    if not f:
+        return f
+    field, n = f.field, f.nvars
+    divisors = [g for g in divisors if g]
+    width = packed_width(max([f.total_degree(),
+                              *(sum(g.leading_monomial()) for g in divisors)]))
+    guard, low = packed_masks(n, width)
+    table = [g.integer_form(width) for g in divisors]
+    scale, ints = f.cleared()
+    work = {pack_monomial(m, width): c for m, c in ints.items()}
+    factor, remainder = reduce_packed(work, packed_heap(work, low), table,
+                                      guard, low, field.characteristic)
+    return Polynomial.from_cleared(n, field, scale * factor, {
         unpack_monomial(m, n, width): c for m, c in remainder.items()})
 
 
@@ -725,7 +735,8 @@ def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
     guard, low = packed_masks(n, width)
     glm, glc, tail = b.integer_form(width)
     scale, ints = a.cleared()
-    work, heap = _packed_dividend(ints, width, low)
+    work = {pack_monomial(m, width): c for m, c in ints.items()}
+    heap = packed_heap(work, low)
     quotient = {}
     while work:
         key = heappop(heap)
@@ -740,7 +751,7 @@ def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
             return None
         shift = lm - glm
         quotient[shift] = q
-        _subtract_shifted(work, heap, low, tail, shift, q, p)
+        subtract_shifted(work, heap, low, tail, shift, q, p)
     num, den = ((pow(blc, -1, p), 1) if p else
                 (glc * blc.denominator, scale * blc.numerator))
     return Polynomial.from_cleared(n, field, den, {

@@ -6,42 +6,33 @@ normal selection strategy (smallest lcm degree first, ties by index pair),
 and the final basis is inter-reduced and monic, hence canonical for the
 ideal.  That selection order is kept by a heap of pairs, each keyed once on
 insertion, so every S-pair is the one a scan over all pairs would pick.
-Reduction is `exactalg.normal_form`, which this module re-exports under
-its own name and looks up here, so a wrapper set on
-``groebner.normal_form`` sees every reduction this module makes.  Radical
-membership adjoins a fresh last variable ``t`` and tests whether 1 lies in
-``I + <1 - t*f>``.
+`buchberger` reduces packed int forms with `exactalg.reduce_packed`, so a
+wrapper set on ``groebner.normal_form`` (re-exported and looked up here)
+sees the membership tests only.  Radical membership adjoins a fresh last
+variable ``t`` and tests whether 1 lies in ``I + <1 - t*f>``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import gcd
 from typing import Iterable, Optional
 
 from .exactalg import (
     Field,
     Polynomial,
-    grevlex_key,
-    monic,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
     normal_form,
+    pack_monomial,
+    packed_heap,
+    packed_lcm,
+    packed_masks,
+    packed_width,
+    primitive_form,
+    reduce_packed,
+    subtract_shifted,
+    unpack_monomial,
 )
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The S-polynomial, with both leading terms scaled to cancel."""
-    flm, flc = f.leading_term()
-    glm, glc = g.leading_term()
-    lcm = monomial_lcm(flm, glm)
-    field = f.field
-    mf = Polynomial._raw(f.nvars, field,
-                         {monomial_div(lcm, flm): field.inv(flc)})
-    mg = Polynomial._raw(g.nvars, field,
-                         {monomial_div(lcm, glm): field.inv(glc)})
-    return mf * f - mg * g
 
 
 @dataclass(frozen=True)
@@ -57,71 +48,99 @@ class GroebnerBasis:
         return any(g.is_constant() and not g.is_zero() for g in self.polys)
 
 
+def s_pair(forms: list, i: int, j: int, lcm: int, low: int, p: int):
+    """``(work, heap)`` for `reduce_packed`: the S-polynomial of ``f, g =
+    forms[i], forms[j]``, ``a*x^(L-lm f)*tail(f) - b*x^(L-lm g)*tail(g)`` for
+    ``L = lcm``, ``c = gcd(lc f, lc g)``, ``a = lc g/c`` and ``b = lc f/c``."""
+    (flm, flc, ftail), (glm, glc, gtail) = forms[i], forms[j]
+    c = gcd(flc, glc)
+    work, heap = {}, []
+    subtract_shifted(work, heap, low, ftail, lcm - flm, -(glc // c), p)
+    subtract_shifted(work, heap, low, gtail, lcm - glm, flc // c, p)
+    return work, heap
+
+
 def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal spanned by the generators."""
-    gens = [monic(g) for g in generators if not g.is_zero()]
-    basis = []
-    lms = []
-    for g in gens:
-        if g not in basis:
-            basis.append(g)
-            lms.append(g.leading_monomial())
+    """Reduced Groebner basis of the ideal spanned by the generators, found
+    on packed int forms (`integer_form`) at one width, repacked wider when
+    a pair's lcm degree passes its capacity."""
+    gens = [g for g in generators if g]
+    if not gens:
+        return GroebnerBasis(())
+    n, field, p = gens[0].nvars, gens[0].field, gens[0].field.characteristic
+    width = packed_width(max(g.total_degree() for g in gens))
+    guard, low = packed_masks(n, width)
+    forms = [g.integer_form(width) for g in gens]
+    forms = list({(lm, lc, frozenset(tail)): (lm, lc, tail)  # drop repeats
+                  for lm, lc, tail in forms}.values())
+    lms = [form[0] for form in forms]
     # Pairs wait in a heap ordered by (lcm degree, i, j); ``pairs`` holds
     # the ones still queued, which the chain criterion asks about.
     queue = []
     pairs = set()
 
     def add_pair(i, j):
-        lcm = monomial_lcm(lms[i], lms[j])
-        heappush(queue, (sum(lcm), i, j, lcm))
+        degree, lcm = packed_lcm(lms[i], lms[j], width, guard, low)
+        heappush(queue, (degree, i, j, lcm))
         pairs.add((i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(forms)):
         for i in range(j):
             add_pair(i, j)
 
     while queue:
         degree, i, j, lcm = heappop(queue)
         pairs.discard((i, j))
-        if degree == sum(lms[i]) + sum(lms[j]):
+        if lcm == lms[i] + lms[j]:
             continue  # product criterion: coprime leading monomials
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(lms[k], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True  # chain criterion: both side pairs handled
-                    break
-        if skip:
+        if degree >> (width - 1):  # past the capacity: repack wider
+            old, width = width, packed_width(degree)
+            guard, low = packed_masks(n, width)
+            def repack(m):
+                return pack_monomial(unpack_monomial(m, n, old), width)
+            forms[:] = [(repack(lm), lc, tuple((repack(m), c) for m, c in tail))
+                        for lm, lc, tail in forms]
+            lms[:] = [form[0] for form in forms]
+            queue[:] = [(d, a, b, repack(m)) for d, a, b, m in queue]
+            lcm = repack(lcm)
+        guarded = lcm | guard
+        if any((guarded - lm) & guard == guard and k != i and k != j
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, lm in enumerate(lms)):
+            continue  # chain criterion: both side pairs handled
+        work, heap = s_pair(forms, i, j, lcm, low, p)
+        remainder = reduce_packed(work, heap, forms, guard, low, p)[1]
+        if not remainder:
             continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if remainder.is_zero():
-            continue
-        remainder = monic(remainder)
-        basis.append(remainder)
-        lms.append(remainder.leading_monomial())
-        new = len(basis) - 1
+        forms.append(primitive_form(remainder, next(iter(remainder)), p))
+        lms.append(forms[-1][0])
+        new = len(forms) - 1
         for k in range(new):
             add_pair(k, new)
 
-    # minimalize: drop elements whose leading monomial another one divides
-    order_by_lm = sorted(range(len(basis)), key=lambda i: grevlex_key(lms[i]))
+    # minimalize: drop elements whose leading monomial another one divides;
+    # ``m - 2*(m & low)`` orders packed monomials grevlex-ascending
     kept = []
-    for i in order_by_lm:
-        if not any(monomial_divides(lms[k], lms[i]) for k in kept):
+    for i in sorted(range(len(forms)), key=lambda i: lms[i] - 2 * (lms[i] & low)):
+        guarded = lms[i] | guard
+        if not any((guarded - lms[k]) & guard == guard for k in kept):
             kept.append(i)
-    reduced = [basis[i] for i in kept]
+    reduced = [forms[i] for i in kept]
 
     # inter-reduce to the unique reduced basis: reduction keeps every leading
     # monomial of a minimal basis, so one pass leaves no reducible term
-    for i in range(len(reduced)):
-        reduced[i] = monic(normal_form(reduced[i], reduced[:i] + reduced[i + 1:]))
+    for i, (lm, lc, tail) in enumerate(reduced):
+        work = {lm: lc, **dict(tail)}
+        remainder = reduce_packed(work, packed_heap(work, low),
+                                  reduced[:i] + reduced[i + 1:], guard, low, p)[1]
+        reduced[i] = primitive_form(remainder, lm, p)
 
-    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()), reverse=True)
-    return GroebnerBasis(tuple(reduced))
+    reduced.sort(key=lambda form: 2 * (form[0] & low) - form[0])
+    return GroebnerBasis(tuple(
+        Polynomial.from_cleared(n, field, lc, {
+            unpack_monomial(m, n, width): c for m, c in ((lm, lc), *tail)})
+        for lm, lc, tail in reduced))
 
 
 class Ideal:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import locspan.exactalg as exactalg
 import locspan.groebner as groebner
 from locspan import (
     QQ,
@@ -27,17 +28,14 @@ from locspan.exactalg import (
     Polynomial,
     RationalField,
     grevlex_key,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
     packed_masks,
     packed_width,
     try_exact_div,
 )
-from locspan.groebner import s_polynomial
 
 from support import random_nonzero_polynomial, random_polynomial, variables
 
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F_BIG = PrimeField(2 ** 31 - 1)
 
@@ -54,6 +52,37 @@ def monomial_mul(a, b):
 
 def monomial_degree(m):
     return sum(m)
+
+
+def monomial_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomial_div(a, b):
+    quo = tuple(x - y for x, y in zip(a, b))
+    assert min(quo, default=0) >= 0, f"monomial {b} does not divide {a}"
+    return quo
+
+
+def monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def s_polynomial(f, g):
+    """The S-polynomial ``(L/lt f)*f - (L/lt g)*g``, by field operations
+    on exponent tuples."""
+    field = f.field
+    lcm = monomial_lcm(f.leading_monomial(), g.leading_monomial())
+    terms = {}
+    for h, sign in ((f, field.one), (g, field.neg(field.one))):
+        lm, lc = h.leading_term()
+        factor = field.div(sign, lc)
+        shift = monomial_div(lcm, lm)
+        for m, c in h.terms.items():
+            m = monomial_mul(m, shift)
+            terms[m] = field.add(terms.get(m, field.zero), field.mul(factor, c))
+    return Polynomial._raw(f.nvars, field,
+                           {m: c for m, c in terms.items() if c != field.zero})
 
 
 def reference_normal_form(f, divisors):
@@ -109,7 +138,7 @@ def reference_try_exact_div(a, b):
 def reference_pair_loop(generators):
     """The S-pair loop with pairs chosen by ``min`` over all open pairs.
 
-    Returns the S-pairs it reduced and the basis it built.
+    Returns the index pairs ``(i, j)`` it reduced and the basis it built.
     """
     basis, lms = [], []
     for g in (monic(g) for g in generators if not g.is_zero()):
@@ -141,7 +170,7 @@ def reference_pair_loop(generators):
                     break
         if skip:
             continue
-        reduced.append((basis[i], basis[j]))
+        reduced.append((i, j))
         remainder = reference_normal_form(
             s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero():
@@ -278,15 +307,18 @@ def test_try_exact_div_matches_linear_scan(field):
 
 # -- pair selection in buchberger -------------------------------------------------
 
-def _recorded_pairs(monkeypatch, generators):
+def _recorded_pairs(monkeypatch, generators, limit=1000):
+    """The index pairs whose S-polynomial `buchberger` forms, in order; a
+    run past ``limit`` pairs fails instead of running on."""
     seen = []
-    original = groebner.s_polynomial
+    original = groebner.s_pair
 
-    def recording(f, g):
-        seen.append((f, g))
-        return original(f, g)
+    def recording(forms, i, j, *args):
+        seen.append((i, j))
+        assert len(seen) <= limit, "the pair loop runs away"
+        return original(forms, i, j, *args)
 
-    monkeypatch.setattr(groebner, "s_polynomial", recording)
+    monkeypatch.setattr(groebner, "s_pair", recording)
     buchberger(generators)
     monkeypatch.undo()
     return seen
@@ -326,15 +358,17 @@ def test_closure_normal_form_call_count_is_pinned(monkeypatch):
     """The (7,6) closure decision makes exactly this many reductions: one
     per S-pair the linear-scan selection reduced, per element in one
     inter-reduction pass, and per membership test.  A change to which pairs
-    get reduced moves this count."""
+    get reduced moves this count.  Each is one call of the shared kernel
+    `reduce_packed`, by `normal_form` or inside `buchberger`."""
     calls = []
-    original = groebner.normal_form
+    original = exactalg.reduce_packed
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "normal_form", counting)
+    for module in (exactalg, groebner):
+        monkeypatch.setattr(module, "reduce_packed", counting)
     assert local_membership_closure(local_only_example(7, 6)).holds
     assert len(calls) == 783
 
@@ -593,3 +627,111 @@ def test_try_exact_div_over_q_does_no_fraction_arithmetic(monkeypatch):
     assert got == q
     assert _same(got, reference_try_exact_div(a, b))
     assert calls["mul"] > 0 and calls["sub"] > 0
+
+
+# -- the packed pair loop against the reference --------------------------------
+
+@pytest.mark.parametrize("field", [QQ, F3, F5, F_BIG],
+                         ids=["Q", "F3", "F5", "F2^31-1"])
+def test_packed_buchberger_matches_reference(field):
+    """Random generators with a duplicate or a proportional copy mixed in
+    (fractional ones with negative leading coefficients over Q), bases
+    extended to the radical test's ring, a constant and no generator."""
+    rng = random.Random(86)
+    factor = Fraction(-3, 2) if field == QQ else field.p - 1
+    proportional = nontrivial = 0
+    for _ in range(40):
+        if field == QQ:
+            gens = [_fraction_polynomial(rng, 3, max_degree=3, max_terms=4)
+                    for _ in range(rng.randint(2, 4))]
+        else:
+            gens = [random_nonzero_polynomial(rng, 3, field, max_degree=3,
+                                              max_terms=4,
+                                              coeff_range=_coeff_range(field))
+                    for _ in range(rng.randint(2, 4))]
+        scale = rng.choice([1, factor])
+        gens.insert(rng.randint(0, len(gens)), rng.choice(gens).scale(scale))
+        expected, _ = reference_buchberger(gens)
+        assert buchberger(gens).polys == expected
+        proportional += scale != 1
+        nontrivial += len(expected) > 1
+    assert proportional >= 10 and nontrivial >= 10
+    n, ext = 3, 4
+    t = Polynomial.variable(n, ext, field)
+    one = Polynomial.one(ext, field)
+    units = 0
+    for _ in range(16):
+        gens = [_random_form(rng, n, field, 2, 3)
+                for _ in range(rng.randint(1, 2))]
+        f = _random_form(rng, n, field, rng.randint(1, 2), 3).scale(factor)
+        lifted = [g.extend(ext) for g in buchberger(gens).polys]
+        lifted.append(one - t * f.extend(ext))
+        expected, _ = reference_buchberger(lifted)
+        assert buchberger(lifted).polys == expected
+        units += expected == (one,)
+    assert 0 < units < 16
+    y1, y2, y3 = variables(3, field)
+    constant = Polynomial.constant(factor, 3, field)
+    assert buchberger([y1 * y2 - y3, constant, y3]).polys == (
+        Polynomial.one(3, field),)
+    assert buchberger([]).polys == ()
+
+
+@over_fields
+def test_buchberger_across_a_width_step(monkeypatch, field):
+    """The generators fit 8-bit fields, but the lcm of their leading
+    monomials y1^100*y2^100 has degree 200 > 127: the basis is repacked at
+    16 bits mid-run, and an element of degree 200 survives."""
+    y1, y2, y3 = variables(3, field)
+    gens = [y1 ** 100 * y2 - y3, y1 * y2 ** 100 - 2 * y3]
+    expected_pairs, _ = reference_pair_loop(gens)
+    assert _recorded_pairs(monkeypatch, gens, limit=20) == expected_pairs
+    expected, _ = reference_buchberger(gens)
+    got = buchberger(gens).polys
+    assert got == expected
+    assert max(g.total_degree() for g in got) > 127
+    # a generator already past the 8-bit capacity starts at 16 bits
+    gens.append(y3 ** 130 - y1)
+    expected, _ = reference_buchberger(gens)
+    assert buchberger(gens).polys == expected
+
+
+def test_buchberger_over_q_does_no_fraction_arithmetic(monkeypatch):
+    """Over Q the pair loop runs on ints: no call of the field's ``mul`` or
+    ``add``, and no `Fraction` is built but the final basis's coefficients."""
+    calls = {"mul": 0, "add": 0, "built": 0}
+    for name in ("mul", "add"):
+        original = getattr(RationalField, name)
+
+        def counting(self, a, b, name=name, original=original):
+            calls[name] += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(RationalField, name, counting)
+    # arithmetic on Fractions builds its results through one of these two
+    new = Fraction.__new__
+
+    def building(cls, *args, **kwargs):
+        calls["built"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(building))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+
+        def coprime_ints(cls, *args):
+            calls["built"] += 1
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(coprime_ints))
+    rng = random.Random(87)
+    gens = [_fraction_polynomial(rng, 3, max_degree=3, max_terms=4)
+            for _ in range(4)]
+    calls.update(mul=0, add=0, built=0)
+    basis = buchberger(gens).polys
+    built = calls["built"]
+    assert calls["mul"] == calls["add"] == 0
+    assert 0 < built <= sum(len(g.terms) for g in basis)
+    assert basis == reference_buchberger(gens)[0]
+    assert calls["mul"] > 0 and calls["add"] > 0

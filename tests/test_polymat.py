@@ -482,8 +482,8 @@ def test_integer_kernel_matches_field_arithmetic(field):
 def test_closure_kernels_do_no_fraction_arithmetic(monkeypatch):
     """Determinants and division run on ints: over Q, no call of the
     field's ``mul`` or ``add`` comes from ``det()`` or ``normal_form``.
-    Products never make one; the rest of a closure still does, in the sums
-    of S-polynomials, `scale` and `monic`."""
+    Products and `buchberger` never make one; the rest of a closure still
+    makes a few, in `try_exact_div` by a one-term divisor."""
     calls = {"kernels": 0, "elsewhere": 0}
     inside = []
     for name in ("mul", "add"):
