@@ -26,6 +26,7 @@ input, 3 means an enumeration budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -807,7 +808,10 @@ def verify_report(report: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Entry point.
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, also when it ends in `SystemExit` (an error, or ``--help``)."""
     parser = argparse.ArgumentParser(
         prog="locspan",
         description="Exact span-membership and rank-1-idempotent decisions.")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -32,7 +33,14 @@ from .exactalg import (
     try_exact_div,
 )
 from .groebner import Ideal, radical_membership
-from .polymat import PolyMatrix, ScalarMatrix, nullspace_over_field, rank, rref, solve_over_field
+from .polymat import (
+    PolyMatrix,
+    ScalarMatrix,
+    _rref,
+    nullspace_over_field,
+    rank,
+    solve_over_field,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -118,6 +126,23 @@ class LinearSubspace:
     def augmented_matrix(self) -> PolyMatrix:
         """The basis matrix with y appended as its last column."""
         return PolyMatrix.from_columns(self.basis + (self.coordinate_target(),))
+
+    @cached_property
+    def point_table(self) -> tuple:
+        """``(width, table)`` over F_p: entry j of ``table[i]`` packs, in
+        fields of ``width`` bits from the bottom, the y_{j+1} coefficients
+        of q_1[i] .. q_d[i] and of y[i], so that ``sum_j a_j table[i][j]``
+        packs row i of the augmented matrix at the point a.  For a in
+        ``[0, p)^n`` a field holds at most ``n (p-1)^2``, which ``width``
+        bits hold with one to spare, so no field carries into the next."""
+        p, n, d = self.field.characteristic, self.nvars, self.dim
+        width = (n * (p - 1) ** 2).bit_length() + 1
+        table = tuple(
+            tuple(sum(b.entries[i][j] << (k * width)
+                      for k, b in enumerate(self.coeff_matrices))
+                  + ((i == j) << (d * width)) for j in range(n))
+            for i in range(n))
+        return width, table
 
     @cached_property
     def coefficient_system(self) -> ScalarMatrix:
@@ -330,16 +355,29 @@ def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
     """Ranks of the basis matrix and of the augmented matrix at ``point``,
     from one elimination: pivots come left to right, so the basis rank is
     the number of pivots left of column d."""
-    n = subspace.nvars
+    n, d, field = subspace.nvars, subspace.dim, subspace.field
     if len(point) != n:
         raise ValueError(f"point has {len(point)} coordinates, expected {n}")
-    # row i holds q_1(point)[i] .. q_d(point)[i] and point[i], each a plain
-    # dot product that ScalarMatrix normalises once
-    rows = [[sum(c * x for c, x in zip(b.entries[i], point))
-             for b in subspace.coeff_matrices] + [point[i]]
-            for i in range(n)]
-    pivots = rref(ScalarMatrix(rows, subspace.field))
-    return sum(c < subspace.dim for c in pivots), len(pivots)
+    p = field.characteristic
+    if p:
+        # row i is unpacked field by field from one sum of products with
+        # subspace.point_table, the point normalised into [0, p) first
+        point = [field.normalize(x) for x in point]
+        width, table = subspace.point_table
+        mask = (1 << width) - 1
+        shifts = range(0, (d + 1) * width, width)
+        rows = []
+        for packed in table:
+            value = sum(map(mul, point, packed))
+            rows.append([(value >> s & mask) % p for s in shifts])
+    else:
+        # row i holds q_1(point)[i] .. q_d(point)[i] and point[i], each a
+        # plain dot product normalised once
+        rows = [[field.normalize(sum(c * x for c, x in zip(b.entries[i], point)))
+                 for b in subspace.coeff_matrices] + [field.normalize(point[i])]
+                for i in range(n)]
+    pivots = _rref(rows, field)
+    return sum(c < d for c in pivots), len(pivots)
 
 
 def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:

@@ -13,6 +13,7 @@ solves a linear system for v, provides an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import Field, PrimeField
@@ -26,6 +27,7 @@ from .localmem import (
 )
 from .polymat import (
     ScalarMatrix,
+    _solve_rows,
     nullspace_over_field,
     outer_product,
     rank,
@@ -179,11 +181,15 @@ def find_rank1_idempotent(subspace: MatrixSubspace,
     if p ** (2 * n) > budget:
         raise BudgetExceededError(
             f"{p}^{2 * n} candidates exceed the budget of {budget}")
-    complement = perp(subspace).basis
+    # the columns are v's coordinates reversed: the first row is u reversed
+    # (v^T u = 1), then x u reversed for each x (v^T x u = 0), so each x
+    # keeps its rows last first
+    complement = [x.entries[::-1] for x in perp(subspace).basis]
     for u in _projective_representatives(p, n):
-        rows = [u] + [x.matvec(u) for x in complement]
-        system = ScalarMatrix([row[::-1] for row in rows], field)
-        v = solve_over_field(system, [1] + [0] * len(complement))
+        rows = [list(u[::-1]) + [1]]
+        rows += [[sum(map(mul, row, u)) % p for row in x] + [0]
+                 for x in complement]
+        v = _solve_rows(rows, n, field)
         if v is not None:
             return Rank1Idempotent(u, v[::-1])
     return None

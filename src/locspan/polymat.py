@@ -7,8 +7,10 @@ over Q, and reduced mod p over F_p, and each minor is brought back into the
 field once at the end.  Above the limit, and for the row basis over the
 fraction field, one fraction-free elimination runs row by row.  Both
 multiply int term maps in `exactalg.add_product`.  Scalar matrices get
-Gaussian elimination with a fixed pivot rule so solutions and nullspace
-bases are reproducible bit-exactly.
+Gauss-Jordan elimination to the reduced row echelon form, which is unique,
+so solutions (free variables 0) and nullspace bases are reproducible
+bit-exactly.  Over F_p one kernel on plain ints reduces mod p inline; over
+Q the `Field` methods run on `Fraction`s.
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ def outer_product(u: Sequence, v: Sequence, field: Field) -> ScalarMatrix:
 
 def _rref(rows: list, field: Field):
     """In-place reduced row echelon form; returns the pivot column list."""
+    if field.characteristic:
+        return _rref_mod(rows, field.characteristic)
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots = []
@@ -136,6 +140,30 @@ def _rref(rows: list, field: Field):
     return pivots
 
 
+def _rref_mod(rows: list, p: int) -> list:
+    """`_rref` over F_p on rows of ints in ``[0, p)``, with the same pivots
+    and the same reduced rows."""
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if m else 0):
+        pivot = next((i for i in range(r, m) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        row = rows[r] = [inv * x % p for x in rows[r]]
+        for i in range(m):
+            factor = rows[i][c]
+            if factor and i != r:
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], row)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
 def rref(matrix: ScalarMatrix) -> tuple:
     """The pivot columns of the reduced row echelon form."""
     return tuple(_rref([list(row) for row in matrix.entries], matrix.field))
@@ -151,13 +179,20 @@ def solve_over_field(matrix: ScalarMatrix, rhs: Sequence) -> Optional[tuple]:
         raise ValueError("right-hand side length does not match row count")
     field = matrix.field
     rhs = [field.normalize(v) for v in rhs]
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(matrix.entries)]
+    return _solve_rows(
+        [list(row) + [rhs[i]] for i, row in enumerate(matrix.entries)],
+        matrix.cols, field)
+
+
+def _solve_rows(rows: list, cols: int, field: Field) -> Optional[tuple]:
+    """`solve_over_field` on the rows of ``[A | b]`` for an A with ``cols``
+    columns, entries normalised; the rows are reduced in place."""
     pivots = _rref(rows, field)
-    if matrix.cols in pivots:
+    if cols in pivots:
         return None
-    solution = [field.zero] * matrix.cols
+    solution = [field.zero] * cols
     for r, c in enumerate(pivots):
-        solution[c] = rows[r][matrix.cols]
+        solution[c] = rows[r][cols]
     return tuple(solution)
 
 

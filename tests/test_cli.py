@@ -12,6 +12,7 @@ from locspan.cli import (
     MAX_PARSE_DEPTH,
     InstanceFile,
     ParseError,
+    _build_parser,
     instance_from_matrix_subspace,
     instance_from_subspace,
     parse_instance,
@@ -626,6 +627,47 @@ def test_example_range_and_json(capsys):
     report = json.loads(out)
     assert report["command"] == "example"
     assert "q4" in report["witness"]["instance"]
+
+
+def test_the_parser_is_built_once_and_survives_its_exits(capsys, tmp_path):
+    # the requests lean on parser defaults (--method, both --budget
+    # defaults, --input) and the text and JSON renderings
+    counter5 = instance_from_subspace(
+        fraction_span_only_example(3, PrimeField(5))).canonical_text()
+    points = _write_instance(tmp_path, counter5, "counter5.txt")
+    matrices = _write_instance(tmp_path, "field Fp 5\nn 2\nkind matrix-subspace"
+                               "\nb1 = [[1, 0], [0, 0]]\nend\n", "m.txt")
+    golden = _write_instance(tmp_path, GOLDEN_TEXT)
+    requests = [["decide-local", "--input", points, "--method", "points",
+                 "--json"],
+                ["decide-local", "--input", golden],
+                ["idempotent-search", "--input", matrices, "--json"],
+                ["example", "--n", "4", "--d", "3", "--json"]]
+
+    def reports():
+        out = []
+        for argv in requests:
+            code, text, err = _run(capsys, argv)
+            assert code == 0 and not err, argv
+            out.append(re.sub(r"elapsed_ms\"?: \d+", "elapsed_ms", text))
+        return out
+
+    _build_parser.cache_clear()
+    first = reports()
+    assert _build_parser() is _build_parser()
+    for argv, code in ((["no-such-command"], 2),
+                       (["example", "--n", "x", "--d", "3"], 2),
+                       (["decide-local", "--method", "guess"], 2),
+                       (["--help"], 0), (["idempotent-search", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            run_command(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == code and (out if code == 0 else err)
+        assert reports() == first, argv
+    # a budget exit returns 3 without leaving its --budget behind
+    assert _run(capsys, ["decide-local", "--input", points, "--method",
+                         "points", "--budget", "7"])[0] == 3
+    assert reports() == first
 
 
 # -- verify loop -----------------------------------------------------------------

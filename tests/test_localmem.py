@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -342,6 +343,45 @@ def test_ranks_at_matches_two_rank_calls(field):
             drops += expected[0] < subspace.dim
             jumps += expected[1] > expected[0]
     assert drops and jumps
+
+
+def _two_ranks(subspace, point):
+    """Ranks of the evaluated basis and augmented matrices, from two
+    separate eliminations of `ScalarMatrix` columns."""
+    field = subspace.field
+    columns = [b.matvec(point) for b in subspace.coeff_matrices]
+    return (rank(ScalarMatrix.from_columns(columns, field)),
+            rank(ScalarMatrix.from_columns(columns + [point], field)))
+
+
+@pytest.mark.parametrize("p, sizes", [(3, (3, 4)), (5, (3, 4)),
+                                      (2**61 - 1, (2, 2, 2))],
+                         ids=["F3", "F5", "F_(2^61-1)"])
+def test_ranks_at_reduces_any_point_mod_p(p, sizes):
+    # ints outside [0, p) and Fractions whose denominator is a unit mod p
+    # give the ranks of the point they reduce to; at 2^61 - 1 the packed
+    # fields of point_table are 124 bits wide
+    field = PrimeField(p)
+    rng = random.Random(36)
+    subspaces = [_span_y(2, field)]
+    subspaces += [random_subspace(rng, n, rng.randint(1, n - 1), field)
+                  for n in sizes]
+    outcomes = set()
+    for subspace in subspaces:
+        n = subspace.nvars
+        points = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(20)]
+        points += [(0,) * n, (1,) + (0,) * (n - 1), (p - 1,) * n]
+        for point in points:
+            expected = _two_ranks(subspace, point)
+            assert ranks_at(subspace, point) == expected, (subspace, point)
+            shifted = [x + rng.randint(-3, 3) * p for x in point]
+            dens = [rng.choice([2, p + 1, 7 * p - 1]) for _ in point]
+            fractions = [Fraction(x * den + rng.randint(-2, 2) * p, den)
+                         for x, den in zip(point, dens)]
+            assert ranks_at(subspace, shifted) == expected, (subspace, point)
+            assert ranks_at(subspace, fractions) == expected, (subspace, point)
+            outcomes.add(expected[1] - expected[0])
+    assert outcomes == {0, 1}
 
 
 # -- pencils -----------------------------------------------------------------------

@@ -575,6 +575,80 @@ def test_pivot_rows_match_lexicographic_scan(field):
     assert deficient and late
 
 
+def reference_rref(rows, field):
+    """In-place reduced row echelon form by `Field` method calls, as
+    `polymat._rref` runs it over Q; returns the pivot column list."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, m) if rows[i][c] != field.zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != field.zero:
+                factor = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(factor, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def _matrix_with_repeats(rng, p, rows, cols):
+    """Rows in [0, p): random ones, zero rows, copies and multiples of
+    earlier rows, and rows that are zero in their first columns."""
+    out = []
+    for _ in range(rows):
+        kind = rng.randrange(5)
+        if kind == 1:
+            out.append([0] * cols)
+        elif kind == 2 and out:
+            c = rng.randrange(1, p)
+            out.append([c * x % p for x in rng.choice(out)])
+        elif kind == 3:
+            lead = rng.randrange(cols)
+            out.append([0] * lead + [rng.randrange(p) for _ in range(cols - lead)])
+        else:
+            out.append([rng.randrange(p) for _ in range(cols)])
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_int_rref_matches_field_reference(p, monkeypatch):
+    field = PrimeField(p)
+    rng = random.Random(40 + p)
+    matrices = [[]]
+    for rows, cols in itertools.product(range(1, 8), repeat=2):
+        matrices += [_matrix_with_repeats(rng, p, rows, cols) for _ in range(6)]
+    expected = []
+    for m in matrices:
+        reduced = [list(row) for row in m]
+        expected.append((reference_rref(reduced, field), reduced))
+
+    def refuse(*args):
+        raise AssertionError("field method called by the int kernel")
+
+    for name in ("add", "sub", "mul", "inv", "normalize"):
+        monkeypatch.setattr(PrimeField, name, refuse)
+    shapes = set()
+    for m, (pivots, reduced) in zip(matrices, expected):
+        rows = [list(row) for row in m]
+        assert polymat._rref(rows, field) == pivots, m
+        assert rows == reduced, m
+        if m:
+            shapes.add((len(m) < len(m[0]), len(m) > len(m[0]),
+                        len(pivots) < min(len(m), len(m[0]))))
+    # wide, tall and square, each both at full rank and rank-deficient
+    assert len(shapes) == 6
+
+
 def test_solve_identity_and_inconsistent():
     identity = ScalarMatrix.identity(3, QQ)
     assert solve_over_field(identity, (1, 2, 3)) == (1, 2, 3)
