@@ -20,7 +20,8 @@ embedded canonical instance text makes each witness re-checkable by the
 ``verify`` subcommand.  One table, ``_COMMANDS``, builds the argument
 parser and dispatches the instance subcommands.  Exit code 0 means the
 computation completed (the decision itself is in the report), 2 means bad
-input, 3 means an enumeration budget was exceeded.
+input, 3 means an enumeration budget was exceeded, and 1 that stdout was
+closed before the report was written.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -38,6 +40,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .exactalg import (
+    MINUS_INFINITY,
     QQ,
     Field,
     Polynomial,
@@ -93,19 +96,28 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Expression tokenizer/parser.
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)"
-                       r"|(?P<sym>[-+*^/()\[\],=])|(?P<bad>\S))")
+#: One match per token, each starting where the last ended: group 1 is an
+#: integer literal, a name or a symbol, group 2 any other character, which
+#: is an error.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+|[A-Za-z_]\w*|[-+*^/()\[\],=])|(\S))")
 
 
-def _tokenize(text: str, line: int):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):  # each match starts where the last ended
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group('bad')!r}",
-                             line, m.start("bad") + 1)
-        tokens.append((kind, m.group(kind), m.start(kind) + 1))
-    return tokens
+def _tokenize(text: str, line: int) -> tuple:
+    """The token texts of ``text`` and their matches (for the columns); a
+    character that starts no token is a `ParseError` at its column."""
+    matches = list(_TOKEN_RE.finditer(text))
+    tokens = [m[1] for m in matches]
+    if None in tokens:
+        m = matches[tokens.index(None)]
+        raise ParseError(f"unexpected character {m[2]!r}", line,
+                         m.start(2) + 1)
+    return tokens, matches
+
+
+def _is_name(token: str) -> bool:
+    """Whether a token of `_tokenize` is a name: its other tokens are
+    decimal literals and symbols, and neither starts with a letter."""
+    return token[0] == "_" or token[0].isalpha()
 
 
 #: The parser's work budget: a product or power whose result would exceed this
@@ -121,87 +133,149 @@ MAX_DIMENSION = 64
 
 
 class _ExprParser:
-    """Recursive-descent parser producing polynomials in a fixed ring."""
+    """Recursive-descent parser producing polynomials in a fixed ring.
 
-    def __init__(self, tokens, nvars: int, field: Field, line: int):
-        self.tokens = tokens
+    A constant stays a value of the field (`Field.normalize`) until a
+    variable joins it: constants combine by the field's arithmetic, a
+    constant times a polynomial is `Polynomial.scale`, and a constant meets
+    `Polynomial` arithmetic only lifted by `polynomial`.  A value leaves
+    the parser as a `Polynomial` (`parse_polynomial`) or, for a matrix
+    entry, as a field value (`parse_scalar`).  Every budget check sees the
+    degree and term count that the constant's polynomial would have (0 and
+    1, or -inf and 0 for zero).  ``tokens`` holds the token texts and an
+    empty string past the end, so looking ahead is one index and a symbol
+    one comparison.
+    """
+
+    def __init__(self, text: str, nvars: int, field: Field, line: int):
+        self.tokens, self.matches = _tokenize(text, line)
+        self.end = len(self.tokens)
+        self.tokens.append("")
         self.pos = 0
         self.nvars = nvars
         self.field = field
         self.line = line
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str, index: int) -> ParseError:
+        """A `ParseError` at the column of token ``index``."""
+        return ParseError(message, self.line, self.matches[index].start(1) + 1)
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of line", self.line,
-                             self.tokens[-1][2] if self.tokens else 1)
+    def at_end(self) -> bool:
+        return self.pos >= self.end
+
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok:
+            if not self.end:
+                raise ParseError("unexpected end of line", self.line, 1)
+            raise self.error("unexpected end of line", self.end - 1)
         self.pos += 1
         return tok
 
-    def expect(self, symbol: str):
-        tok = self.next()
-        if tok[0] != "sym" or tok[1] != symbol:
-            raise ParseError(f"expected {symbol!r}, found {tok[1]!r}",
-                             self.line, tok[2])
-        return tok
+    def expect(self, symbol: str) -> None:
+        if self.next() != symbol:
+            raise self.error(f"expected {symbol!r}, found "
+                             f"{self.tokens[self.pos - 1]!r}", self.pos - 1)
 
-    def at_symbol(self, symbol: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "sym" and tok[1] == symbol
+    def polynomial(self, value) -> Polynomial:
+        """``value`` as a `Polynomial` (a constant is lifted)."""
+        if type(value) is Polynomial:
+            return value
+        return Polynomial.constant(value, self.nvars, self.field)
 
-    def parse_expression(self) -> Polynomial:
-        if self.at_symbol("-"):
-            self.next()
-            value = -self.parse_term()
+    def parse_polynomial(self) -> Polynomial:
+        """One expression, as a `Polynomial`."""
+        return self.polynomial(self.parse_expression())
+
+    def parse_scalar(self):
+        """One expression, as a field value; None if it is not constant."""
+        value = self.parse_expression()
+        if type(value) is not Polynomial:
+            return value
+        return value.constant_value() if value.is_constant() else None
+
+    def parse_expression(self):
+        tokens, field = self.tokens, self.field
+        if tokens[self.pos] == "-":
+            self.pos += 1
+            value = self.negate(self.parse_term())
         else:
             value = self.parse_term()
-        while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.next()[1]
+        while tokens[self.pos] in ("+", "-"):
+            subtract = tokens[self.pos] == "-"
+            self.pos += 1
             term = self.parse_term()
-            value = value + term if op == "+" else value - term
+            if type(value) is Polynomial or type(term) is Polynomial:
+                value, term = self.polynomial(value), self.polynomial(term)
+                value = value - term if subtract else value + term
+            else:
+                value = (field.sub(value, term) if subtract
+                         else field.add(value, term))
         return value
+
+    def negate(self, value):
+        if type(value) is Polynomial:
+            return -value
+        return self.field.neg(value)
 
     def parse_list(self, parse_item) -> list:
         """``[item, item, ...]``, each item read by ``parse_item``."""
         self.expect("[")
         items = [parse_item()]
-        while self.at_symbol(","):
-            self.next()
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             items.append(parse_item())
         self.expect("]")
         return items
 
-    def check_budget(self, tok, degree, terms, bits=0) -> None:
-        """Refuse, before expanding it, a product or power over budget."""
+    def check_budget(self, index, degree, terms, bits=0) -> None:
+        """Refuse, before expanding it, a product or power over budget; the
+        error points at token ``index``, its operator."""
         if (degree > MAX_PARSE_DEGREE or terms > MAX_PARSE_TERMS
                 or bits > MAX_PARSE_BITS):
-            raise ParseError("expansion exceeds the parser budget",
-                             self.line, tok[2])
+            raise self.error("expansion exceeds the parser budget", index)
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self):
         value = self.parse_factor()
-        while self.at_symbol("*"):
-            star = self.next()
-            factor = self.parse_factor()
-            # the zero polynomial has degree -inf and always passes
-            self.check_budget(star, value.total_degree() + factor.total_degree(),
-                              len(value.terms) * len(factor.terms))
-            value = value * factor
+        while self.tokens[self.pos] == "*":
+            star = self.pos
+            self.pos += 1
+            value = self.multiply(star, value, self.parse_factor())
         return value
 
-    def parse_factor(self) -> Polynomial:
+    def multiply(self, star, a, b):
+        if type(a) is not Polynomial:
+            if type(b) is not Polynomial:
+                # at most one term of degree 0: always inside the budget
+                return self.field.mul(a, b)
+            a, b = b, a
+        if type(b) is not Polynomial:
+            # the zero polynomial has degree -inf and always passes
+            self.check_budget(star, a.total_degree() if b else MINUS_INFINITY,
+                              len(a.terms) if b else 0)
+            return a.scale(b)
+        self.check_budget(star, a.total_degree() + b.total_degree(),
+                          len(a.terms) * len(b.terms))
+        return a * b
+
+    def parse_factor(self):
         value = self.parse_atom()
-        if self.at_symbol("^"):
-            caret = self.next()
+        if self.tokens[self.pos] == "^":
+            caret = self.pos
+            self.pos += 1
             tok = self.next()
-            if tok[0] != "int":
-                raise ParseError("exponent must be an integer literal",
-                                 self.line, tok[2])
-            k = int(tok[1])
+            if not tok.isdecimal():
+                raise self.error("exponent must be an integer literal",
+                                 self.pos - 1)
+            k = int(tok)
+            if type(value) is not Polynomial:
+                # degree 0 or -inf and one term or none: only the bits
+                # of the coefficient can pass the budget
+                bits = (value.numerator.bit_length()
+                        + value.denominator.bit_length()) if value else 0
+                self.check_budget(caret, 0, 0, k * bits)
+                return self.field.normalize(value ** k)
             t = len(value.terms)
             # a t-term polynomial to the k has at most C(t+k-1, k) terms;
             # t > 1 means degree > 0, so once the degree passes k is small
@@ -212,63 +286,63 @@ class _ExprParser:
             value = value ** k
         return value
 
-    def parse_atom(self) -> Polynomial:
+    def parse_atom(self):
         tok = self.next()
-        if tok[0] == "sym" and tok[1] in ("-", "("):
+        if tok.isdecimal():
+            if self.tokens[self.pos] != "/":
+                return self.field.normalize(int(tok))
+            self.pos += 1
+            den = self.next()
+            if not den.isdecimal():
+                raise self.error("denominator must be an integer literal",
+                                 self.pos - 1)
+            try:
+                return self.field.normalize(Fraction(int(tok), int(den)))
+            except ZeroDivisionError:
+                raise self.error(f"denominator {den} is zero in "
+                                 f"{self.field!r}", self.pos - 1) from None
+        if tok == "-" or tok == "(":
             self.depth += 1
             if self.depth > MAX_PARSE_DEPTH:
-                raise ParseError("nesting exceeds the parser budget",
-                                 self.line, tok[2])
-            if tok[1] == "-":
-                value = -self.parse_atom()
+                raise self.error("nesting exceeds the parser budget",
+                                 self.pos - 1)
+            if tok == "-":
+                value = self.negate(self.parse_atom())
             else:
                 value = self.parse_expression()
                 self.expect(")")
             self.depth -= 1
             return value
-        if tok[0] == "int":
-            numerator = int(tok[1])
-            if self.at_symbol("/"):
-                self.next()
-                den_tok = self.next()
-                if den_tok[0] != "int":
-                    raise ParseError("denominator must be an integer literal",
-                                     self.line, den_tok[2])
-                try:
-                    return Polynomial.constant(
-                        Fraction(numerator, int(den_tok[1])), self.nvars,
-                        self.field)
-                except ZeroDivisionError:
-                    raise ParseError(
-                        f"denominator {den_tok[1]} is zero in {self.field!r}",
-                        self.line, den_tok[2]) from None
-            return Polynomial.constant(numerator, self.nvars, self.field)
-        if tok[0] == "name":
-            m = re.fullmatch(r"y(\d+)", tok[1])
+        if _is_name(tok):
+            m = re.fullmatch(r"y(\d+)", tok)
             if not m:
-                raise ParseError(f"unknown identifier {tok[1]!r}", self.line, tok[2])
+                raise self.error(f"unknown identifier {tok!r}", self.pos - 1)
             index = int(m.group(1))
             if not 1 <= index <= self.nvars:
-                raise ParseError(
+                raise self.error(
                     f"variable y{index} out of range for n = {self.nvars}",
-                    self.line, tok[2])
+                    self.pos - 1)
             return Polynomial.variable(index - 1, self.nvars, self.field)
-        raise ParseError(f"unexpected token {tok[1]!r}", self.line, tok[2])
+        raise self.error(f"unexpected token {tok!r}", self.pos - 1)
 
 
 def parse_polynomial(text: str, nvars: int, field: Field,
                      line: int = 0) -> Polynomial:
     """Parse one polynomial expression (used for instance files and reports)."""
-    parser = _ExprParser(_tokenize(text, line), nvars, field, line)
-    value = parser.parse_expression()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", line, tok[2])
+    parser = _ExprParser(text, nvars, field, line)
+    value = parser.parse_polynomial()
+    if not parser.at_end():
+        raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}",
+                           parser.pos)
     return value
 
 
 # ---------------------------------------------------------------------------
 # Instance files.
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 @dataclass(frozen=True)
 class InstanceFile:
@@ -301,14 +375,16 @@ class InstanceFile:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+        return _sha256(self.canonical_text())
 
     def header(self) -> dict:
-        """Report keys field, n, d (codimension for matrices), instance, digest."""
+        """Report keys field, n, d (codimension for matrices), instance and
+        digest, the SHA-256 of the same rendering of the instance."""
         count = len(self.labels)
         d = count if self.kind == "linear-subspace" else self.nvars ** 2 - count
+        text = self.canonical_text()
         return {"field": self.field_name(), "n": self.nvars, "d": d,
-                "instance": self.canonical_text(), "digest": self.digest()}
+                "instance": text, "digest": _sha256(text)}
 
     def to_linear_subspace(self) -> LinearSubspace:
         if self.kind != "linear-subspace":
@@ -341,6 +417,10 @@ def parse_instance(text: str) -> InstanceFile:
         head, rest = (line.split(None, 1) + [""])[:2]
         if head in ("field", "n", "kind") and labels:
             raise ParseError(f"{head} must precede basis lines", lineno, 1)
+        if (head == "field" and field is not None
+                or head == "n" and nvars is not None
+                or head == "kind" and kind is not None):
+            raise ParseError(f"duplicate {head!r} declaration", lineno, 1)
         if head == "field":
             words = rest.split()
             if words[:1] == ["Q"] and len(words) == 1:
@@ -372,20 +452,19 @@ def parse_instance(text: str) -> InstanceFile:
         if field is None or nvars is None or kind is None:
             raise ParseError("field, n and kind must precede basis lines",
                              lineno, 1)
-        tokens = _tokenize(line, lineno)
-        if len(tokens) < 2 or tokens[0][0] != "name":
+        parser = _ExprParser(line, nvars, field, lineno)
+        label = parser.tokens[0]
+        if parser.end < 2 or not _is_name(label):
             raise ParseError("expected a basis line 'label = [...]'", lineno, 1)
-        label = tokens[0][1]
         if label in labels:
-            raise ParseError(f"duplicate basis label {label!r}", lineno,
-                             tokens[0][2])
-        parser = _ExprParser(tokens[1:], nvars, field, lineno)
+            raise parser.error(f"duplicate basis label {label!r}", 0)
+        parser.pos = 1
         parser.expect("=")
         if kind == "linear-subspace":
-            components = parser.parse_list(parser.parse_expression)
-            if parser.peek() is not None:
-                raise ParseError("trailing input after basis vector", lineno,
-                                 parser.peek()[2])
+            components = parser.parse_list(parser.parse_polynomial)
+            if not parser.at_end():
+                raise parser.error("trailing input after basis vector",
+                                   parser.pos)
             if len(components) != nvars:
                 raise ParseError(
                     f"vector has {len(components)} components, expected {nvars}",
@@ -396,16 +475,14 @@ def parse_instance(text: str) -> InstanceFile:
             vectors.append(tuple(components))
         else:
             rows = parser.parse_list(
-                lambda: parser.parse_list(parser.parse_expression))
-            if parser.peek() is not None:
-                raise ParseError("trailing input after matrix", lineno,
-                                 parser.peek()[2])
+                lambda: parser.parse_list(parser.parse_scalar))
+            if not parser.at_end():
+                raise parser.error("trailing input after matrix", parser.pos)
             if len(rows) != nvars or any(len(r) != nvars for r in rows):
                 raise ParseError(f"matrix must be {nvars}x{nvars}", lineno, 1)
-            if not all(p.is_constant() for row in rows for p in row):
+            if any(x is None for row in rows for x in row):
                 raise ParseError("matrix entries must be constants", lineno, 1)
-            matrices.append(ScalarMatrix(
-                [[p.constant_value() for p in row] for row in rows], field))
+            matrices.append(ScalarMatrix(rows, field))
         labels.append(label)
 
     if field is None or nvars is None or kind is None:
@@ -739,8 +816,7 @@ def verify_report(report: dict) -> dict:
     witness = report.get("witness")
     failure = report.get("failure_witness")
     digest = report.get("digest")
-    if digest is not None and digest != hashlib.sha256(
-            _entry(report, "instance", str).encode()).hexdigest():
+    if digest is not None and digest != _sha256(_entry(report, "instance", str)):
         raise ValueError("malformed report: 'digest' is not the SHA-256 of "
                          "the instance")
     expected = _certified_outcome(command, witness, failure)
@@ -869,6 +945,8 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stdout closed early: `main` ends the run
+        raise
     except (ValueError, OSError) as exc:  # ParseError, JSON errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -878,7 +956,18 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command())
+    """Run the CLI; a stdout closed before the report is written (as by
+    ``| head``) ends the run with exit code 1 and no traceback."""
+    try:
+        code = run_command()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's recipe: point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

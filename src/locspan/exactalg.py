@@ -157,6 +157,8 @@ class PrimeField(Field):
         self.one = 1
 
     def normalize(self, value):
+        if type(value) is int:  # the common case, before the ABC checks
+            return value % self.p
         if isinstance(value, Fraction):
             return self.div(value.numerator % self.p, value.denominator % self.p)
         if isinstance(value, int):

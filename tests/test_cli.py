@@ -182,6 +182,51 @@ def test_parse_refusal_exits_2(tmp_path, capsys):
     assert "line 4, col 10: exponent must be an integer literal" in err
 
 
+def test_repeated_declarations_are_refused_at_their_line(tmp_path, capsys):
+    # the last declaration used to win: this text decided over F5 with n = 3
+    text = ("field Q\nn 2\nfield Fp 5\nn 3\nkind linear-subspace\n"
+            "kind linear-subspace\nkind linear-subspace\n"
+            "q1 = [y1, y2, y3]\nend\n")
+    path = _write_instance(tmp_path, text)
+    code, out, err = _run(capsys, ["decide-local", "--input", path])
+    assert code == 2 and out == ""
+    assert err == "error: line 3, col 1: duplicate 'field' declaration\n"
+    # each declaration is refused at its second line, even when both agree
+    for head, text, line in (
+            ("n", "field Q\nn 2\nkind linear-subspace\nn 2\n", 4),
+            ("kind", "field Q\nkind linear-subspace\nn 2\n"
+                     "kind matrix-subspace\n", 4),
+            ("field", "field Fp 5\n# again\nfield Fp 5\n", 3)):
+        with pytest.raises(ParseError, match=f"duplicate '{head}' "
+                                             "declaration") as info:
+            parse_instance(text + "q1 = [y1, y2]\nend\n")
+        assert (info.value.line, info.value.col) == (line, 1)
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    import os
+    import subprocess
+    import sys
+
+    import locspan
+    src = os.path.dirname(os.path.dirname(locspan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for flags in (["--json"], []):
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader is gone before anything is written
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "locspan.cli", "decide-span-f", *flags],
+                input=GOLDEN_TEXT, stdout=writer, stderr=subprocess.PIPE,
+                text=True, env=env, timeout=60)
+        finally:
+            os.close(writer)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr, done.stderr
+        assert "Exception" not in done.stderr, done.stderr
+
+
 def test_parse_polynomial_round_trip():
     from locspan.exactalg import format_polynomial
     samples = ["y1^2 - 2*y2*y3 + 1", "-y1 + y3", "0", "3/2*y1", "y1*y2*y3"]

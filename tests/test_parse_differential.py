@@ -1,0 +1,223 @@
+"""The instance parser against the parser it replaced, on seeded texts.
+
+`locspan.cli` keeps constants as field values until a variable joins them;
+`support.reference_parse_instance` is the parser from before that change,
+which lifted every constant to a `Polynomial`.  On every text both must
+accept with the same canonical instance, or refuse with the same error,
+position included: that holds the budgets and the `ParseError`s in place.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from locspan import QQ, PrimeField, format_polynomial
+from locspan.cli import MAX_PARSE_DEPTH, parse_instance, parse_polynomial
+from support import reference_parse_instance, reference_parse_polynomial
+
+FIELDS = (("Q", QQ), ("Fp 5", PrimeField(5)), ("Fp 7", PrimeField(7)),
+          ("Fp 2", PrimeField(2)))
+
+
+def _outcome(parse, text):
+    """``("ok", canonical text)`` or ``(error type, message)``."""
+    try:
+        return "ok", parse(text).canonical_text()
+    except Exception as exc:  # not only ParseError: all must match
+        return type(exc).__name__, str(exc)
+
+
+def _poly_outcome(parse, text, nvars, field):
+    try:
+        return "ok", format_polynomial(parse(text, nvars, field, line=7))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# -- seeded texts ---------------------------------------------------------------
+
+def _literal(rng):
+    r = rng.random()
+    if r < 0.55:
+        return str(rng.randint(0, 12))
+    if r < 0.85:  # zero denominators, and multiples of p over F_p
+        return f"{rng.randint(0, 12)}/{rng.randint(0, 10)}"
+    return rng.choice(("123456789012345678901234567890", "10/4", "5/5", "0/7"))
+
+
+def _exponent(rng):
+    return rng.choice((0, 1, 1, 2, 3, 4, 7, 33, 20000, 40000))
+
+
+def _const(rng, depth):
+    if depth <= 0 or rng.random() < 0.35:
+        return _literal(rng)
+    a, b = _const(rng, depth - 1), _const(rng, depth - 1)
+    return rng.choice((f"-{a}", f"({a})", f"({a})^{_exponent(rng)}",
+                       f"{a}^{rng.randrange(4)}", f"{a}*{b}", f"{a} + {b}",
+                       f"{a} - {b}", f"-({a})"))
+
+
+def _variable(rng, n):
+    r = rng.random()
+    if r < 0.96:
+        return f"y{rng.randint(1, n)}"
+    return rng.choice((f"y{n + 1}", "y0", "z", "y01"))
+
+
+def _linear(rng, n, depth):
+    """Mostly a linear form written with constants, signs, parentheses and
+    powers; now and then a text that is not one."""
+    if depth <= 0 or rng.random() < 0.25:
+        return _variable(rng, n)
+    a, b = _linear(rng, n, depth - 1), _linear(rng, n, depth - 1)
+    c = _const(rng, depth - 1)
+    return rng.choice((
+        f"({c})*({a})", f"({a})*({c})", f"{c}*{_variable(rng, n)}",
+        f"{_variable(rng, n)}*{c}", f"{a} + {b}", f"{a} - {b}", f"-({a})",
+        f"-{_variable(rng, n)}", f"({a})^1", f"{a} + ({c} - {c})",
+        f"({c} - {c})*({a})^{_exponent(rng)}", f"{a} + {c}",
+        f"({a})*({b})", f"0*({a})*({b})"))
+
+
+def _any(rng, n, depth):
+    """A polynomial expression: products and powers of linear forms."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice((_variable(rng, n), _literal(rng)))
+    a, b = _any(rng, n, depth - 1), _any(rng, n, depth - 1)
+    return rng.choice((f"{a}*{b}", f"{a} + {b}", f"{a} - {b}", f"-{a}",
+                       f"({a})", f"({a})^{rng.randrange(6)}",
+                       f"({a})^{_exponent(rng)}", f"{_const(rng, 2)}*({a})"))
+
+
+def _corrupt(rng, text):
+    """The text with one character inserted, deleted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice("()[],^*/+-= y1z#$\t\u00e9\u00b2\u0661")
+    return rng.choice((text[:i] + c + text[i:], text[:i] + text[i + 1:],
+                       text[:i] + c + text[i + 1:]))
+
+
+def _instance_text(rng, field_name):
+    n = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        lines = [f"q{i + 1} = [" + ", ".join(
+            "0" if rng.random() < 0.2 else _linear(rng, n, rng.randint(0, 3))
+            for _ in range(n)) + "]" for i in range(rng.randint(1, n))]
+        kind = "linear-subspace"
+    else:
+        def entry():
+            r = rng.random()
+            if r < 0.9:
+                return _const(rng, rng.randint(0, 3))
+            return rng.choice(("y1 - y1", "0*y1", "(y1 - y1)^3", "y1"))
+        width = n if rng.random() < 0.95 else n + 1
+        lines = ["b%d = [%s]" % (i + 1, ", ".join(
+            "[" + ", ".join(entry() for _ in range(width)) + "]"
+            for _ in range(n))) for i in range(rng.randint(1, 3))]
+        kind = "matrix-subspace"
+    if rng.random() < 0.25:
+        j = rng.randrange(len(lines))
+        lines[j] = _corrupt(rng, lines[j])
+    return "\n".join([f"field {field_name}", f"n {n}", f"kind {kind}",
+                      *lines, "end"]) + "\n"
+
+
+def test_seeded_instances_parse_alike():
+    rng = random.Random(20)
+    accepted = refused = 0
+    for _ in range(600):
+        field_name, _ = rng.choice(FIELDS)
+        text = _instance_text(rng, field_name)
+        expected = _outcome(reference_parse_instance, text)
+        assert _outcome(parse_instance, text) == expected, text
+        accepted += expected[0] == "ok"
+        refused += expected[0] != "ok"
+    # the corpus exercises both sides
+    assert accepted > 150 and refused > 150
+
+
+def test_seeded_expressions_parse_alike():
+    rng = random.Random(21)
+    for _ in range(1500):
+        _, field = rng.choice(FIELDS)
+        n = rng.randint(1, 4)
+        text = _any(rng, n, rng.randint(0, 4))
+        if rng.random() < 0.2:
+            text = _corrupt(rng, text)
+        assert (_poly_outcome(parse_polynomial, text, n, field)
+                == _poly_outcome(reference_parse_polynomial, text, n, field)), \
+            text
+
+
+# -- texts at each edge of the budget -------------------------------------------
+
+def _line_instance(field_name, n, line):
+    return f"field {field_name}\nn {n}\nkind linear-subspace\n{line}\nend\n"
+
+
+def _alike(text):
+    expected = _outcome(reference_parse_instance, text)
+    assert _outcome(parse_instance, text) == expected
+    return expected
+
+
+def _monomial(exponents):
+    return "*".join(f"y{i + 1}^{e}" for i, e in enumerate(exponents) if e) or "1"
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp 5"])
+def test_a_constant_factor_keeps_the_term_budget(field_name):
+    # every monomial of degree at most 13 in 4 variables: 2380 terms, each
+    # inside the budget, whose sum times a constant is over it
+    monomials = [m for m in product(range(14), repeat=4) if sum(m) <= 13]
+    assert len(monomials) == 2380
+    total = "(" + " + ".join(map(_monomial, monomials)) + ")"
+    for expr, star in ((f"{total}*2", len(total)), (f"2*{total}", 1)):
+        line = f"q1 = [{expr}, y2, y3, y4]"
+        outcome = _alike(_line_instance(field_name, 4, line))
+        col = len("q1 = [") + star + 1
+        assert outcome == ("ParseError", f"line 4, col {col}: expansion "
+                                         "exceeds the parser budget")
+    # a zero factor has no terms and keeps the product inside it
+    line = f"q1 = [{total}*(2 - 2) + y1, y2, y3, y4]"
+    assert _alike(_line_instance(field_name, 4, line))[0] == "ok"
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp 5"])
+def test_hostile_constants_at_each_budget_edge(field_name):
+    # the bits budget on a constant power, before the power is computed
+    line = "q1 = [7^40000*y1, y2]"
+    assert _alike(_line_instance(field_name, 2, line)) == (
+        "ParseError", f"line 4, col {line.index('^') + 1}: expansion exceeds "
+                      "the parser budget")
+    for line in ("q1 = [2^10000*y1, y2]", "q1 = [0^40000*y1, y2]",
+                 "q1 = [0^0*y1, y2]", "q1 = [(0 - 0)^0*y1 + 0^3*y2, y2]"):
+        assert _alike(_line_instance(field_name, 2, line))[0] == "ok", line
+    matrix = (f"field {field_name}\nn 2\nkind matrix-subspace\n"
+              "b1 = [[0^0, 1/2], [-(3)^2, 0]]\nend\n")
+    assert _alike(matrix)[0] == "ok"
+    # nesting at the depth budget and one past it
+    for depth in (MAX_PARSE_DEPTH, MAX_PARSE_DEPTH + 1):
+        for atom in ("y1", "3*y1", "(y1)"):
+            expr = "(" * depth + atom + ")" * depth
+            outcome = _alike(_line_instance(field_name, 2,
+                                            f"q1 = [{expr}, y2]"))
+            assert (outcome[0] == "ok") == (depth + atom.count("(")
+                                            <= MAX_PARSE_DEPTH), expr
+        signs = "-" * depth + "2*y1"
+        outcome = _alike(_line_instance(field_name, 2, f"q1 = [{signs}, y2]"))
+        # the sign that opens an expression is not counted
+        assert outcome[0] == "ok"
+
+
+def test_a_denominator_divisible_by_p_is_refused():
+    text = _line_instance("Fp 5", 2, "q1 = [1/5*y1, y2]")
+    assert _alike(text) == (
+        "ParseError", "line 4, col 9: denominator 5 is zero in GF(5)")
+    # 5/5 is 1 before it meets the field
+    assert _alike(_line_instance("Fp 5", 2, "q1 = [5/5*y1, y2]"))[0] == "ok"
+    matrix = "field Fp 5\nn 1\nkind matrix-subspace\nb1 = [[1/5]]\nend\n"
+    assert _alike(matrix) == (
+        "ParseError", "line 4, col 10: denominator 5 is zero in GF(5)")
