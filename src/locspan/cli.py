@@ -40,7 +40,6 @@ from math import comb
 from typing import Optional, Sequence
 
 from .exactalg import (
-    MINUS_INFINITY,
     QQ,
     Field,
     Polynomial,
@@ -96,21 +95,44 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Expression tokenizer/parser.
 
+#: The parser's work budget: a product or power whose result would exceed this
+#: degree or term count, or (powers only) coefficient bits, is a `ParseError`
+#: at its operator, and so is nesting past this depth.  A literal, or a
+#: coefficient that a sum, product or power makes, is refused there past
+#: `MAX_PARSE_DIGITS` digits, Python's default int-to-text limit.  An ambient
+#: dimension n past `MAX_DIMENSION` (an ``n`` line, ``example --n``) is
+#: refused before anything of size n is built.
+MAX_PARSE_DEGREE = 32
+MAX_PARSE_TERMS = 2_000
+MAX_PARSE_BITS = 1 << 16
+MAX_PARSE_DIGITS = 4300
+MAX_PARSE_DEPTH = 100
+MAX_DIMENSION = 64
+_PRINTABLE = 10 ** MAX_PARSE_DIGITS
+
 #: One match per token, each starting where the last ended: group 1 is an
 #: integer literal, a name or a symbol, group 2 any other character, which
 #: is an error.
 _TOKEN_RE = re.compile(r"\s*(?:(\d+|[A-Za-z_]\w*|[-+*^/()\[\],=])|(\S))")
+#: The start of an integer literal of more than `MAX_PARSE_DIGITS` digits.
+_LONG_LITERAL_RE = re.compile(rf"\b\d{{{MAX_PARSE_DIGITS + 1}}}")
+_VARIABLE_RE = re.compile(r"y(\d+)")
 
 
 def _tokenize(text: str, line: int) -> tuple:
     """The token texts of ``text`` and their matches (for the columns); a
-    character that starts no token is a `ParseError` at its column."""
+    character that starts no token, or an integer literal too long for
+    ``int``, is a `ParseError` at its column."""
     matches = list(_TOKEN_RE.finditer(text))
     tokens = [m[1] for m in matches]
     if None in tokens:
         m = matches[tokens.index(None)]
         raise ParseError(f"unexpected character {m[2]!r}", line,
                          m.start(2) + 1)
+    long = _LONG_LITERAL_RE.search(text)
+    if long:
+        raise ParseError("literal exceeds the parser budget", line,
+                         long.start() + 1)
     return tokens, matches
 
 
@@ -120,49 +142,34 @@ def _is_name(token: str) -> bool:
     return token[0] == "_" or token[0].isalpha()
 
 
-#: The parser's work budget: a product or power whose result would exceed this
-#: degree, term count or (powers only) coefficient size is a `ParseError`,
-#: and so is nesting of parentheses and unary minus past this depth.  An
-#: ambient dimension n past `MAX_DIMENSION` (an ``n`` line, ``example --n``)
-#: is refused before anything of size n is built.
-MAX_PARSE_DEGREE = 32
-MAX_PARSE_TERMS = 2_000
-MAX_PARSE_BITS = 1 << 16
-MAX_PARSE_DEPTH = 100
-MAX_DIMENSION = 64
+def _printable(c) -> bool:
+    """Whether a report can print the field value ``c``."""
+    return type(c) is int or (-_PRINTABLE < c.numerator < _PRINTABLE
+                              and c.denominator < _PRINTABLE)
 
 
 class _ExprParser:
     """Recursive-descent parser producing polynomials in a fixed ring.
 
-    A constant stays a value of the field (`Field.normalize`) until a
-    variable joins it: constants combine by the field's arithmetic, a
-    constant times a polynomial is `Polynomial.scale`, and a constant meets
-    `Polynomial` arithmetic only lifted by `polynomial`.  A value leaves
-    the parser as a `Polynomial` (`parse_polynomial`) or, for a matrix
-    entry, as a field value (`parse_scalar`).  Every budget check sees the
-    degree and term count that the constant's polynomial would have (0 and
-    1, or -inf and 0 for zero).  ``tokens`` holds the token texts and an
-    empty string past the end, so looking ahead is one index and a symbol
-    one comparison.
+    Every value is a term map ``{monomial: nonzero field value}`` that the
+    parser owns, as `Polynomial.terms`; a constant is the map of the zero
+    monomial ``unit``.  A sum adds its terms into one map, a lone constant
+    factor scales the other map, and other products and powers are
+    `Polynomial` arithmetic on `Polynomial._raw` wrappers.  ``tokens`` ends
+    with an empty string, so looking ahead is one index.
     """
 
     def __init__(self, text: str, nvars: int, field: Field, line: int):
         self.tokens, self.matches = _tokenize(text, line)
         self.end = len(self.tokens)
         self.tokens.append("")
-        self.pos = 0
-        self.nvars = nvars
-        self.field = field
-        self.line = line
-        self.depth = 0
+        self.pos = self.depth = 0
+        self.nvars, self.field, self.line = nvars, field, line
+        self.unit = (0,) * nvars
 
     def error(self, message: str, index: int) -> ParseError:
         """A `ParseError` at the column of token ``index``."""
         return ParseError(message, self.line, self.matches[index].start(1) + 1)
-
-    def at_end(self) -> bool:
-        return self.pos >= self.end
 
     def next(self) -> str:
         tok = self.tokens[self.pos]
@@ -178,46 +185,17 @@ class _ExprParser:
             raise self.error(f"expected {symbol!r}, found "
                              f"{self.tokens[self.pos - 1]!r}", self.pos - 1)
 
-    def polynomial(self, value) -> Polynomial:
-        """``value`` as a `Polynomial` (a constant is lifted)."""
-        if type(value) is Polynomial:
-            return value
-        return Polynomial.constant(value, self.nvars, self.field)
+    def wrap(self, terms: dict) -> Polynomial:
+        return Polynomial._raw(self.nvars, self.field, terms)
 
     def parse_polynomial(self) -> Polynomial:
-        """One expression, as a `Polynomial`."""
-        return self.polynomial(self.parse_expression())
+        return self.wrap(self.parse_expression())
 
     def parse_scalar(self):
         """One expression, as a field value; None if it is not constant."""
-        value = self.parse_expression()
-        if type(value) is not Polynomial:
-            return value
-        return value.constant_value() if value.is_constant() else None
-
-    def parse_expression(self):
-        tokens, field = self.tokens, self.field
-        if tokens[self.pos] == "-":
-            self.pos += 1
-            value = self.negate(self.parse_term())
-        else:
-            value = self.parse_term()
-        while tokens[self.pos] in ("+", "-"):
-            subtract = tokens[self.pos] == "-"
-            self.pos += 1
-            term = self.parse_term()
-            if type(value) is Polynomial or type(term) is Polynomial:
-                value, term = self.polynomial(value), self.polynomial(term)
-                value = value - term if subtract else value + term
-            else:
-                value = (field.sub(value, term) if subtract
-                         else field.add(value, term))
-        return value
-
-    def negate(self, value):
-        if type(value) is Polynomial:
-            return -value
-        return self.field.neg(value)
+        terms = self.parse_expression()
+        return terms.get(self.unit) if len(terms) == 1 else (
+            None if terms else self.field.zero)
 
     def parse_list(self, parse_item) -> list:
         """``[item, item, ...]``, each item read by ``parse_item``."""
@@ -229,101 +207,122 @@ class _ExprParser:
         self.expect("]")
         return items
 
+    def parse_expression(self) -> dict:
+        # a leading minus subtracts the first term from the empty sum
+        total = {} if self.tokens[self.pos] == "-" else self.parse_term()
+        while self.tokens[self.pos] in ("+", "-"):
+            self.pos += 1
+            self.add_into(total, self.pos - 1, self.parse_term())
+        return total
+
+    def add_into(self, total: dict, op: int, terms: dict) -> dict:
+        """Add ``terms`` into ``total``, negated if token ``op`` is ``-``."""
+        field = self.field
+        if self.tokens[op] == "-":
+            terms = {m: field.neg(c) for m, c in terms.items()}
+        for m, c in terms.items():
+            if m in total:
+                c = field.add(total[m], c)
+                self.bound(op, (c,))
+                if not c:
+                    del total[m]
+                    continue
+            total[m] = c
+        return total
+
     def check_budget(self, index, degree, terms, bits=0) -> None:
-        """Refuse, before expanding it, a product or power over budget; the
-        error points at token ``index``, its operator."""
+        """Refuse an operator over budget at its token ``index``."""
         if (degree > MAX_PARSE_DEGREE or terms > MAX_PARSE_TERMS
                 or bits > MAX_PARSE_BITS):
             raise self.error("expansion exceeds the parser budget", index)
 
-    def parse_term(self):
-        value = self.parse_factor()
+    def bound(self, index: int, coefficients) -> None:
+        """Refuse at token ``index`` coefficients no report can print."""
+        if not all(map(_printable, coefficients)):
+            raise self.error("coefficient exceeds the parser budget", index)
+
+    def parse_term(self) -> dict:
+        value, unit = self.parse_factor(), self.unit
         while self.tokens[self.pos] == "*":
-            star = self.pos
             self.pos += 1
-            value = self.multiply(star, value, self.parse_factor())
+            star, other = self.pos - 1, self.parse_factor()
+            if len(value) == 1 and unit in value:
+                value, other = other, value
+            lone = len(other) == 1 and unit in other
+            a, b = self.wrap(value), self.wrap(other)
+            # a lone constant factor scales the other map, whose degree is
+            # within budget as every map's is; the zero map's is -inf
+            self.check_budget(star, 0 if lone else a.total_degree()
+                              + b.total_degree(), len(value) * len(other))
+            if lone:
+                c, mul = other[unit], self.field.mul
+                value = {m: mul(x, c) for m, x in value.items()}
+            else:
+                value = (a * b).terms
+            self.bound(star, value.values())
         return value
 
-    def multiply(self, star, a, b):
-        if type(a) is not Polynomial:
-            if type(b) is not Polynomial:
-                # at most one term of degree 0: always inside the budget
-                return self.field.mul(a, b)
-            a, b = b, a
-        if type(b) is not Polynomial:
-            # the zero polynomial has degree -inf and always passes
-            self.check_budget(star, a.total_degree() if b else MINUS_INFINITY,
-                              len(a.terms) if b else 0)
-            return a.scale(b)
-        self.check_budget(star, a.total_degree() + b.total_degree(),
-                          len(a.terms) * len(b.terms))
-        return a * b
-
-    def parse_factor(self):
+    def parse_factor(self) -> dict:
         value = self.parse_atom()
-        if self.tokens[self.pos] == "^":
-            caret = self.pos
-            self.pos += 1
-            tok = self.next()
-            if not tok.isdecimal():
-                raise self.error("exponent must be an integer literal",
-                                 self.pos - 1)
-            k = int(tok)
-            if type(value) is not Polynomial:
-                # degree 0 or -inf and one term or none: only the bits
-                # of the coefficient can pass the budget
-                bits = (value.numerator.bit_length()
-                        + value.denominator.bit_length()) if value else 0
-                self.check_budget(caret, 0, 0, k * bits)
-                return self.field.normalize(value ** k)
-            t = len(value.terms)
-            # a t-term polynomial to the k has at most C(t+k-1, k) terms;
-            # t > 1 means degree > 0, so once the degree passes k is small
-            bits = max((c.numerator.bit_length() + c.denominator.bit_length()
-                        for c in value.terms.values()), default=0)
-            self.check_budget(caret, value.total_degree() * k, 0, k * bits)
-            self.check_budget(caret, 0, comb(t + k - 1, k) if t else 0)
-            value = value ** k
+        if self.tokens[self.pos] != "^":
+            return value
+        caret = self.pos
+        self.pos += 1
+        k, t, base = self.integer("exponent"), len(value), self.wrap(value)
+        # a t-term polynomial to the k has at most C(t+k-1, k) terms; t > 1
+        # means degree > 0, so a k past the degree budget fails by degree
+        bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                    for c in value.values()), default=0)
+        self.check_budget(caret, base.total_degree() * k, comb(t + k - 1, k)
+                          if 1 < t and k <= MAX_PARSE_DEGREE else t, k * bits)
+        value = (base ** k).terms
+        self.bound(caret, value.values())
         return value
 
-    def parse_atom(self):
+    def integer(self, what: str) -> int:
+        """The next token as an int; ``what`` names it if it is not one."""
+        tok = self.next()
+        if not tok.isdecimal():
+            raise self.error(f"{what} must be an integer literal",
+                             self.pos - 1)
+        return int(tok)
+
+    def parse_atom(self) -> dict:
         tok = self.next()
         if tok.isdecimal():
-            if self.tokens[self.pos] != "/":
-                return self.field.normalize(int(tok))
-            self.pos += 1
-            den = self.next()
-            if not den.isdecimal():
-                raise self.error("denominator must be an integer literal",
-                                 self.pos - 1)
             try:
-                return self.field.normalize(Fraction(int(tok), int(den)))
+                value = int(tok)
+                if self.tokens[self.pos] == "/":
+                    self.pos += 1
+                    value = Fraction(value, self.integer("denominator"))
+                value = value and self.field.normalize(value)  # 0 stays 0
             except ZeroDivisionError:
+                den = self.tokens[self.pos - 1]
                 raise self.error(f"denominator {den} is zero in "
                                  f"{self.field!r}", self.pos - 1) from None
+            return {self.unit: value} if value else {}
         if tok == "-" or tok == "(":
             self.depth += 1
             if self.depth > MAX_PARSE_DEPTH:
                 raise self.error("nesting exceeds the parser budget",
                                  self.pos - 1)
-            if tok == "-":
-                value = self.negate(self.parse_atom())
-            else:
-                value = self.parse_expression()
+            value = (self.add_into({}, self.pos - 1, self.parse_atom())
+                     if tok == "-" else self.parse_expression())
+            if tok == "(":
                 self.expect(")")
             self.depth -= 1
             return value
-        if _is_name(tok):
-            m = re.fullmatch(r"y(\d+)", tok)
-            if not m:
-                raise self.error(f"unknown identifier {tok!r}", self.pos - 1)
-            index = int(m.group(1))
-            if not 1 <= index <= self.nvars:
-                raise self.error(
-                    f"variable y{index} out of range for n = {self.nvars}",
-                    self.pos - 1)
-            return Polynomial.variable(index - 1, self.nvars, self.field)
-        raise self.error(f"unexpected token {tok!r}", self.pos - 1)
+        if not _is_name(tok):
+            raise self.error(f"unexpected token {tok!r}", self.pos - 1)
+        m = _VARIABLE_RE.fullmatch(tok)
+        if not m or len(m[1]) > MAX_PARSE_DIGITS:
+            raise self.error(f"unknown identifier {tok!r}", self.pos - 1)
+        index = int(m[1])
+        if not 1 <= index <= self.nvars:
+            raise self.error(f"variable y{index} out of range for n = "
+                             f"{self.nvars}", self.pos - 1)
+        return {self.unit[:index - 1] + (1,) + self.unit[index:]:
+                self.field.one}
 
 
 def parse_polynomial(text: str, nvars: int, field: Field,
@@ -331,7 +330,7 @@ def parse_polynomial(text: str, nvars: int, field: Field,
     """Parse one polynomial expression (used for instance files and reports)."""
     parser = _ExprParser(text, nvars, field, line)
     value = parser.parse_polynomial()
-    if not parser.at_end():
+    if parser.pos < parser.end:
         raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}",
                            parser.pos)
     return value
@@ -462,7 +461,7 @@ def parse_instance(text: str) -> InstanceFile:
         parser.expect("=")
         if kind == "linear-subspace":
             components = parser.parse_list(parser.parse_polynomial)
-            if not parser.at_end():
+            if parser.pos < parser.end:
                 raise parser.error("trailing input after basis vector",
                                    parser.pos)
             if len(components) != nvars:
@@ -476,7 +475,7 @@ def parse_instance(text: str) -> InstanceFile:
         else:
             rows = parser.parse_list(
                 lambda: parser.parse_list(parser.parse_scalar))
-            if not parser.at_end():
+            if parser.pos < parser.end:
                 raise parser.error("trailing input after matrix", parser.pos)
             if len(rows) != nvars or any(len(r) != nvars for r in rows):
                 raise ParseError(f"matrix must be {nvars}x{nvars}", lineno, 1)

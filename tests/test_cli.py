@@ -10,6 +10,7 @@ from locspan import QQ, PrimeField, local_only_example, fraction_span_only_examp
 from locspan.cli import (
     MAX_DIMENSION,
     MAX_PARSE_DEPTH,
+    MAX_PARSE_DIGITS,
     InstanceFile,
     ParseError,
     _build_parser,
@@ -664,6 +665,33 @@ def test_parser_budget_refuses_expansions_before_they_run(tmp_path, capsys):
     code, out, err = _run(capsys, ["decide-span-f", "--input", path])
     assert code == 2 and not out
     assert f"line 4, col {line.index('^') + 1}" in err
+
+
+def test_coefficients_are_bounded_where_they_are_made(tmp_path, capsys):
+    import time
+    # each power here is inside the bits budget, but its value has more
+    # digits than a report can print: the first one is refused, before the
+    # product of the chain grows (the whole product took minutes)
+    line = "q1 = [" + "3^20000*" * 1000 + "y1, y2]"
+    path = _write_instance(tmp_path, f"{_LINEAR}{line}\nend\n")
+    started = time.monotonic()
+    code, out, err = _run(capsys, ["decide-span-f", "--input", path])
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and not out and "Traceback" not in err
+    assert err == ("error: line 4, col 8: coefficient exceeds the parser "
+                   "budget\n")
+    # a chain of printable factors is refused at the first product that is
+    # not, and a coefficient is bounded where it is made even if it cancels
+    for text, col in (("2*" + "3^8000*" * 100 + "y1", 9),
+                      ("2^20000*y1 - 2^20000*y1 + y1", 2)):
+        with pytest.raises(ParseError, match="coefficient exceeds") as info:
+            parse_polynomial(text, 1, QQ, line=3)
+        assert (info.value.line, info.value.col) == (3, col)
+    # a variable index too long for int is an unknown identifier
+    name = "y" + "0" * (MAX_PARSE_DIGITS + 1)
+    with pytest.raises(ParseError, match="unknown identifier") as info:
+        parse_polynomial(f"y1 + {name}", 1, QQ, line=3)
+    assert info.value.col == 6
 
 
 def test_example_range_and_json(capsys):

@@ -1,8 +1,8 @@
 """Fuzzing of the exit-code contract: every input ends in exit 0, 2 or 3.
 
 Instance text goes to ``decide-span-f`` and ``perp``: arbitrary text, lines
-of instance-file fragments, and well-formed instances over small random
-expressions.  Golden JSON reports with one node replaced
+of instance-file fragments (hostile sizes among them), and well-formed
+instances over small random expressions, each within a deadline.  Golden JSON reports with one node replaced
 or one key removed go to ``verify``.  Arbitrary bytes, undecodable ones
 included, go to all three through an ``--input`` file.  ``run_command``
 must return one of the documented exit codes and never raise.  Hypothesis
@@ -15,6 +15,7 @@ import copy
 import io
 import json
 import sys
+from datetime import timedelta
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,9 @@ from locspan.cli import (
 F5 = PrimeField(5)
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=150)
+# instance text must be decided or refused within seconds; verify has no
+# deadline (a forged witness-bounds report can take 10 s in its gcds)
+TEXT_FUZZ = settings(FUZZ, deadline=timedelta(seconds=5))
 
 
 def _run(argv, stdin_text):
@@ -56,7 +60,7 @@ _HEADERS = ("field Q", "field Fp 5", "field Fp 4", "field Fp", "n 2", "n 3",
             "kind matrix-subspace", "kind", "end", "# comment", "")
 _PIECES = ("q1", "b1", " = ", "=", "[", "]", ",", "(", ")", "+", "-", "*",
            "^", "/", "y1", "y2", "y3", "y0", "y9", "z", "0", "1", "2", "3",
-           "1/2", "1/0", "40", " ")
+           "1/2", "1/0", "40", " ", "20000", "7" * 5000)
 
 _lines = st.one_of(
     st.sampled_from(_HEADERS),
@@ -99,20 +103,20 @@ def _assembled(draw, matrix):
 _COMMANDS = st.sampled_from(["decide-span-f", "perp"])
 
 
-@FUZZ
+@TEXT_FUZZ
 @given(_COMMANDS, st.text(max_size=200) |
        st.lists(_lines, max_size=10).map("\n".join))
 def test_instance_commands_survive_any_text(command, text):
     assert _run([command], text)[0] in (0, 2, 3)
 
 
-@FUZZ
+@TEXT_FUZZ
 @given(_assembled(matrix=False))
 def test_decide_span_f_survives_assembled_instances(text):
     assert _run(["decide-span-f"], text)[0] in (0, 2, 3)
 
 
-@FUZZ
+@TEXT_FUZZ
 @given(_assembled(matrix=True))
 def test_perp_survives_assembled_instances(text):
     assert _run(["perp"], text)[0] in (0, 2, 3)

@@ -1,10 +1,12 @@
 """The instance parser against the parser it replaced, on seeded texts.
 
-`locspan.cli` keeps constants as field values until a variable joins them;
-`support.reference_parse_instance` is the parser from before that change,
-which lifted every constant to a `Polynomial`.  On every text both must
-accept with the same canonical instance, or refuse with the same error,
-position included: that holds the budgets and the `ParseError`s in place.
+`support.reference_parse_instance` is the parser that lifted every constant
+to a `Polynomial` and added sums with `Polynomial.__add__`; `locspan.cli`
+parses into term maps.  On every text both must accept with the same
+canonical instance, or refuse with the same error, position included: that
+holds the budgets and the `ParseError`s in place.  The one exception is a
+text on which the reference fails converting an int past Python's 4300-digit
+limit to or from text: the parser refuses it with a `ParseError`.
 """
 
 import random
@@ -12,8 +14,13 @@ from itertools import product
 
 import pytest
 
-from locspan import QQ, PrimeField, format_polynomial
-from locspan.cli import MAX_PARSE_DEPTH, parse_instance, parse_polynomial
+from locspan import QQ, Polynomial, PrimeField, format_polynomial
+from locspan.cli import (
+    MAX_PARSE_DEPTH,
+    MAX_PARSE_DIGITS,
+    parse_instance,
+    parse_polynomial,
+)
 from support import reference_parse_instance, reference_parse_polynomial
 
 FIELDS = (("Q", QQ), ("Fp 5", PrimeField(5)), ("Fp 7", PrimeField(7)),
@@ -33,6 +40,16 @@ def _poly_outcome(parse, text, nvars, field):
         return "ok", format_polynomial(parse(text, nvars, field, line=7))
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+def _agrees(outcome, expected):
+    """Whether the parser's ``outcome`` agrees with the reference's
+    ``expected``: equal, or a `ParseError` where the reference failed on
+    Python's int-to-text conversion limit."""
+    if (expected[0] == "ValueError"
+            and "integer string conversion" in expected[1]):
+        return outcome[0] == "ParseError"
+    return outcome == expected
 
 
 # -- seeded texts ---------------------------------------------------------------
@@ -131,7 +148,7 @@ def test_seeded_instances_parse_alike():
         field_name, _ = rng.choice(FIELDS)
         text = _instance_text(rng, field_name)
         expected = _outcome(reference_parse_instance, text)
-        assert _outcome(parse_instance, text) == expected, text
+        assert _agrees(_outcome(parse_instance, text), expected), text
         accepted += expected[0] == "ok"
         refused += expected[0] != "ok"
     # the corpus exercises both sides
@@ -146,9 +163,9 @@ def test_seeded_expressions_parse_alike():
         text = _any(rng, n, rng.randint(0, 4))
         if rng.random() < 0.2:
             text = _corrupt(rng, text)
-        assert (_poly_outcome(parse_polynomial, text, n, field)
-                == _poly_outcome(reference_parse_polynomial, text, n, field)), \
-            text
+        assert _agrees(_poly_outcome(parse_polynomial, text, n, field),
+                       _poly_outcome(reference_parse_polynomial, text, n,
+                                     field)), text
 
 
 # -- texts at each edge of the budget -------------------------------------------
@@ -158,9 +175,10 @@ def _line_instance(field_name, n, line):
 
 
 def _alike(text):
-    expected = _outcome(reference_parse_instance, text)
-    assert _outcome(parse_instance, text) == expected
-    return expected
+    """The parser's outcome on ``text``, checked against the reference's."""
+    outcome = _outcome(parse_instance, text)
+    assert _agrees(outcome, _outcome(reference_parse_instance, text))
+    return outcome
 
 
 def _monomial(exponents):
@@ -221,3 +239,113 @@ def test_a_denominator_divisible_by_p_is_refused():
     matrix = "field Fp 5\nn 1\nkind matrix-subspace\nb1 = [[1/5]]\nend\n"
     assert _alike(matrix) == (
         "ParseError", "line 4, col 10: denominator 5 is zero in GF(5)")
+
+
+# -- long sums ------------------------------------------------------------------
+
+def _long_sum(rng, n):
+    """A sum of a few hundred terms over the monomials with exponents at
+    most 4 in n variables, most of them distinct."""
+    terms = []
+    for _ in range(rng.randint(200, 400)):
+        exponents = [rng.randint(0, 4) for _ in range(n)]
+        terms.append(f"{rng.choice(('', '-'))}{rng.randint(1, 9)}*"
+                     f"{_monomial(exponents)}")
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _long_sum_texts(rng):
+    """Instances whose components are long sums that cancel to a linear form
+    (``s - (s) + y1``), or do not, or feed a product over the budget."""
+    texts = []
+    for _ in range(12):
+        field_name, _ = rng.choice(FIELDS)
+        s = _long_sum(rng, 4)
+        component = rng.choice((
+            f"{s} - ({s}) + y1", f"-({s}) + 2*y1 + {s}", f"{s} + y1",
+            f"({s})*(y1 - y1) + y1", f"({s})*({s})", f"y2 + ({s}) - ({s})"))
+        texts.append(_line_instance(field_name, 4,
+                                    f"q1 = [{component}, y2, y3, y4]"))
+    return texts
+
+
+def test_long_sums_parse_alike():
+    rng = random.Random(22)
+    outcomes = [_alike(text)[0] for text in _long_sum_texts(rng)]
+    assert "ok" in outcomes and "ParseError" in outcomes
+    for _ in range(8):
+        _, field = rng.choice(FIELDS)
+        text = _long_sum(rng, 4)
+        outcome = _poly_outcome(parse_polynomial, text, 4, field)
+        assert outcome[0] == "ok"
+        assert outcome == _poly_outcome(reference_parse_polynomial, text, 4,
+                                        field)
+
+
+def test_sums_are_added_in_place(monkeypatch):
+    """Parsing makes no `Polynomial.__add__` call: a sum adds each term into
+    one map, where ``+`` used to copy the whole sum so far."""
+    texts = _long_sum_texts(random.Random(23))
+
+    def refuse(self, other):
+        raise AssertionError("Polynomial.__add__ while parsing")
+
+    monkeypatch.setattr(Polynomial, "__add__", refuse)
+    monkeypatch.setattr(Polynomial, "__radd__", refuse)
+    outcomes = [_outcome(parse_instance, text) for text in texts]
+    monkeypatch.undo()
+    assert sum(outcome[0] == "ok" for outcome in outcomes) >= 3
+    for text, outcome in zip(texts, outcomes):
+        assert outcome == _outcome(reference_parse_instance, text)
+
+
+# -- coefficients no report could print -------------------------------------------
+
+def _primes(count):
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _refusal(col, message):
+    return "ParseError", f"line 4, col {col}: {message}"
+
+
+def test_unprintable_coefficients_are_refused_where_made():
+    # the reference parsed these and failed rendering, or converting the
+    # literal, with Python's message and no position
+    coefficient = "coefficient exceeds the parser budget"
+    literal = "literal exceeds the parser budget"
+    digits = "7" * (MAX_PARSE_DIGITS + 1)
+    for line, col, message in (
+            ("q1 = [2^20000*y1, y2]", 8, coefficient),
+            ("q1 = [(2^14000)*(2^14000)*y1, y2]", 16, coefficient),
+            (f"q1 = [{digits}*y1, y2]", 7, literal),
+            (f"q1 = [y1 + {'7' * 5000}*y2, y2]", 12, literal),
+            (f"q1 = [1/{digits}*y1, y2]", 9, literal),
+            (f"q1 = [y1^{digits}, y2]", 10, literal)):
+        text = _line_instance("Q", 2, line)
+        assert _alike(text) == _refusal(col, message), line
+    # over F_p the coefficients are reduced, but a literal is still read
+    assert _alike(_line_instance("Fp 5", 2, "q1 = [2^20000*y1, y2]")) == (
+        "ok", "field Fp 5\nn 2\nkind linear-subspace\nq1 = [y1, y2]\nend\n")
+    line = f"q1 = [{digits}*y1, y2]"
+    assert _alike(_line_instance("Fp 5", 2, line)) == _refusal(7, literal)
+    # a sum is refused at the + whose denominator, the product of the primes
+    # so far, first has more digits than a report prints
+    primes = _primes(2000)
+    product, count = 1, 0
+    while product < 10 ** MAX_PARSE_DIGITS:
+        product *= primes[count]
+        count += 1
+    line = "q1 = [(" + " + ".join(f"1/{p}" for p in primes) + ")*y1, y2]"
+    col = line.index(f" + 1/{primes[count - 1]} ") + 2
+    outcome = _outcome(parse_instance, _line_instance("Q", 2, line))
+    assert outcome == _refusal(col, coefficient)
+    # the coefficient a text prints at the edge stays accepted
+    for line in ("q1 = [2^10000*y1, y2]", f"q1 = [{digits[1:]}*y1, y2]",
+                 "q1 = [(2^7000)*(2^7000)*y1, y2]"):
+        assert _alike(_line_instance("Q", 2, line))[0] == "ok", line
