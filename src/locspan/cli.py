@@ -217,12 +217,12 @@ class _ExprParser:
 
     def add_into(self, total: dict, op: int, terms: dict) -> dict:
         """Add ``terms`` into ``total``, negated if token ``op`` is ``-``."""
-        field = self.field
+        norm = self.field.normalize
         if self.tokens[op] == "-":
-            terms = {m: field.neg(c) for m, c in terms.items()}
+            terms = {m: norm(-c) for m, c in terms.items()}
         for m, c in terms.items():
             if m in total:
-                c = field.add(total[m], c)
+                c = norm(total[m] + c)
                 self.bound(op, (c,))
                 if not c:
                     del total[m]
@@ -255,8 +255,8 @@ class _ExprParser:
             self.check_budget(star, 0 if lone else a.total_degree()
                               + b.total_degree(), len(value) * len(other))
             if lone:
-                c, mul = other[unit], self.field.mul
-                value = {m: mul(x, c) for m, x in value.items()}
+                c, norm = other[unit], self.field.normalize
+                value = {m: norm(x * c) for m, x in value.items()}
             else:
                 value = (a * b).terms
             self.bound(star, value.values())
@@ -617,7 +617,7 @@ def _cmd_pencil(instance: InstanceFile, args) -> tuple:
     if null is not None:
         inv_last = field.inv(null[-1])
         witness["common_null"] = [field.format(x) for x in null]
-        witness["coefficients"] = [field.format(field.neg(field.mul(x, inv_last)))
+        witness["coefficients"] = [field.format(field.normalize(-x * inv_last))
                                    for x in null[:-1]]
     return null is not None, witness, None
 

@@ -73,13 +73,13 @@ def _is_prime(p: int) -> bool:
 class Field:
     """Exact arithmetic on raw coefficient values.
 
-    A subclass defines ``zero``, ``one``, ``characteristic`` and
-    ``normalize(value)``, ``add(a, b)``, ``sub(a, b)``, ``mul(a, b)``,
-    ``neg(a)`` and ``inv(a)``.
+    Values are plain Python numbers, so callers add and multiply them with
+    ``+ - *`` and bring the result into the field once with ``normalize``.
+    A subclass defines only what makes fields differ: ``zero``, ``one``,
+    ``characteristic``, ``normalize(value)`` and ``inv(a)``.  ``normalize``
+    has a fast path for the values arithmetic makes: over Q a `Fraction`
+    comes back unchanged, over F_p an int is reduced mod p.
     """
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_negative(self, a) -> bool:
         """Whether ``a`` prints with a leading minus sign."""
@@ -108,23 +108,14 @@ class RationalField(Field):
     characteristic = 0
 
     def normalize(self, value):
+        if type(value) is Fraction:  # the common case, before the ABC checks
+            return value
         if isinstance(value, float):
             raise TypeError("floating-point coefficients are not supported")
         return Fraction(value)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
+        a = self.normalize(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
@@ -160,22 +151,10 @@ class PrimeField(Field):
         if type(value) is int:  # the common case, before the ABC checks
             return value % self.p
         if isinstance(value, Fraction):
-            return self.div(value.numerator % self.p, value.denominator % self.p)
+            return value.numerator * self.inv(value.denominator) % self.p
         if isinstance(value, int):
             return value % self.p
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -443,27 +422,27 @@ class Polynomial:
         if other is None:
             return NotImplemented
         self._check(other)
-        field = self.field
+        norm = self.field.normalize
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = out.get(mono)
             if acc is None:
                 out[mono] = coeff
             else:
-                s = field.add(acc, coeff)
-                if s == field.zero:
+                s = norm(acc + coeff)
+                if not s:
                     del out[mono]
                 else:
                     out[mono] = s
-        return Polynomial._raw(self.nvars, field, out)
+        return Polynomial._raw(self.nvars, self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.field.neg
+        norm = self.field.normalize
         return Polynomial._raw(
             self.nvars, self.field,
-            {m: neg(c) for m, c in self.terms.items()})
+            {m: norm(-c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -485,13 +464,13 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, value) -> "Polynomial":
-        field = self.field
-        v = field.normalize(value)
-        if v == field.zero:
-            return Polynomial._raw(self.nvars, field, {})
-        mul = field.mul
+        norm = self.field.normalize
+        v = norm(value)
+        if not v:
+            return Polynomial._raw(self.nvars, self.field, {})
         return Polynomial._raw(
-            self.nvars, field, {m: mul(c, v) for m, c in self.terms.items()})
+            self.nvars, self.field,
+            {m: norm(c * v) for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -526,15 +505,15 @@ class Polynomial:
         if len(point) != self.nvars:
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
-        field = self.field
-        values = [field.normalize(v) for v in point]
-        total = field.zero
+        norm = self.field.normalize
+        values = [norm(v) for v in point]
+        total = self.field.zero
         for mono, coeff in self.terms.items():
             term = coeff
             for i, e in enumerate(mono):
                 for _ in range(e):
-                    term = field.mul(term, values[i])
-            total = field.add(total, term)
+                    term = norm(term * values[i])
+            total = norm(total + term)
         return total
 
     def extend(self, nvars: int) -> "Polynomial":
@@ -565,7 +544,7 @@ def format_polynomial(p: Polynomial) -> str:
     for mono in sorted(p.terms, key=grevlex_key, reverse=True):
         coeff = p.terms[mono]
         negative = field.is_negative(coeff)
-        magnitude = field.neg(coeff) if negative else coeff
+        magnitude = field.normalize(-coeff) if negative else coeff
         factors = [f"y{i + 1}" + (f"^{e}" if e > 1 else "")
                    for i, e in enumerate(mono) if e]
         if not factors:
@@ -724,13 +703,13 @@ def try_exact_div(a: Polynomial, b: Polynomial) -> Optional[Polynomial]:
     if sum(blm) > degree:
         return None  # and otherwise every term of b fits a's packed width
     if len(b.terms) == 1:
-        inv, mul = field.inv(blc), field.mul
+        inv, norm = field.inv(blc), field.normalize
         quotient = {}
         for m in sorted(a.terms, key=grevlex_key, reverse=True):
             shift = tuple(x - y for x, y in zip(m, blm))
             if min(shift, default=0) < 0:
                 return None
-            quotient[shift] = mul(a.terms[m], inv)
+            quotient[shift] = norm(a.terms[m] * inv)
         return Polynomial._raw(n, field, quotient)
     p = field.characteristic
     width = packed_width(degree)

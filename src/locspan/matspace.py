@@ -112,12 +112,8 @@ def trace_pairing(a: ScalarMatrix, b: ScalarMatrix):
     """The symmetric bilinear form Tr(a b)."""
     if a.rows != b.rows or a.cols != b.cols or a.rows != a.cols:
         raise ValueError("trace pairing needs square matrices of equal size")
-    field = a.field
-    total = field.zero
-    for i in range(a.rows):
-        for j in range(a.cols):
-            total = field.add(total, field.mul(a[i, j], b[j, i]))
-    return total
+    return a.field.normalize(sum(a[i, j] * b[j, i] for i in range(a.rows)
+                                 for j in range(a.cols)))
 
 
 def perp(subspace: MatrixSubspace) -> MatrixSubspace:

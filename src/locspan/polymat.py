@@ -9,14 +9,16 @@ fraction field, one fraction-free elimination runs row by row.  Both
 multiply int term maps in `exactalg.add_product`.  Scalar matrices get
 Gauss-Jordan elimination to the reduced row echelon form, which is unique,
 so solutions (free variables 0) and nullspace bases are reproducible
-bit-exactly.  Over F_p one kernel on plain ints reduces mod p inline; over
-Q the `Field` methods run on `Fraction`s.
+bit-exactly.  One elimination, `_rref`, serves both fields: it does field
+arithmetic with operators on `Fraction`s or ints, and over F_p reduces
+each row mod p as it is made.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import Field, Polynomial, add_product, exact_div
@@ -77,23 +79,15 @@ class ScalarMatrix:
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        total = self.field.zero
-        for i in range(self.rows):
-            total = self.field.add(total, self.entries[i][i])
-        return total
+        return self.field.normalize(
+            sum(self.entries[i][i] for i in range(self.rows)))
 
     def matvec(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        f = self.field
-        vec = [f.normalize(v) for v in vec]
-        out = []
-        for i in range(self.rows):
-            acc = f.zero
-            for k in range(self.cols):
-                acc = f.add(acc, f.mul(self.entries[i][k], vec[k]))
-            out.append(acc)
-        return tuple(out)
+        norm = self.field.normalize
+        vec = [norm(v) for v in vec]
+        return tuple(norm(sum(map(mul, row, vec))) for row in self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, ScalarMatrix) and self.field == other.field
@@ -109,40 +103,14 @@ def outer_product(u: Sequence, v: Sequence, field: Field) -> ScalarMatrix:
     """The rank <= 1 matrix ``u * v^T``."""
     u = [field.normalize(x) for x in u]
     v = [field.normalize(x) for x in v]
-    return ScalarMatrix([[field.mul(a, b) for b in v] for a in u], field,
-                        cols=len(v))
+    return ScalarMatrix([[a * b for b in v] for a in u], field, cols=len(v))
 
 
-def _rref(rows: list, field: Field):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    if field.characteristic:
-        return _rref_mod(rows, field.characteristic)
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, m) if rows[i][c] != field.zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != field.zero:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots
-
-
-def _rref_mod(rows: list, p: int) -> list:
-    """`_rref` over F_p on rows of ints in ``[0, p)``, with the same pivots
-    and the same reduced rows."""
+def _rref(rows: list, field: Field) -> list:
+    """In-place reduced row echelon form of rows of normalised field values;
+    returns the pivot column list.  One loop serves both fields: entries
+    are combined with ``*`` and ``-``, and over F_p reduced mod p."""
+    p = field.characteristic
     m = len(rows)
     pivots = []
     r = 0
@@ -151,12 +119,15 @@ def _rref_mod(rows: list, p: int) -> list:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        row = rows[r] = [inv * x % p for x in rows[r]]
+        inv = pow(rows[r][c], -1, p) if p else field.one / rows[r][c]
+        row = rows[r] = ([inv * x % p for x in rows[r]] if p
+                         else [inv * x for x in rows[r]])
         for i in range(m):
             factor = rows[i][c]
             if factor and i != r:
-                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], row)]
+                rows[i] = ([(x - factor * y) % p for x, y in zip(rows[i], row)]
+                           if p else
+                           [x - factor * y for x, y in zip(rows[i], row)])
         pivots.append(c)
         r += 1
         if r == m:
@@ -209,7 +180,7 @@ def nullspace_over_field(matrix: ScalarMatrix) -> list:
         vec = [field.zero] * matrix.cols
         vec[free] = field.one
         for r, c in enumerate(pivots):
-            vec[c] = field.neg(rows[r][free])
+            vec[c] = field.normalize(-rows[r][free])
         basis.append(tuple(vec))
     return basis
 

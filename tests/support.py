@@ -107,26 +107,59 @@ def subspace_containing_target(rng, n, d, field=QQ):
 
 
 def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Independent product oracle: the field's own ``mul`` and ``add`` on
-    every pair of terms, where `Polynomial.__mul__` multiplies cleared int
-    term maps."""
+    """Independent product oracle: field products and sums on every pair of
+    terms, each normalised, where `Polynomial.__mul__` multiplies cleared
+    int term maps."""
     a._check(b)
     field = a.field
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             m = tuple(x + y for x, y in zip(m1, m2))
-            c = field.mul(c1, c2)
+            c = field.normalize(c1 * c2)
             acc = out.get(m)
             if acc is None:
                 out[m] = c
             else:
-                s = field.add(acc, c)
+                s = field.normalize(acc + c)
                 if s == field.zero:
                     del out[m]
                 else:
                     out[m] = s
     return Polynomial._raw(a.nvars, field, out)
+
+
+class FractionArithmetic:
+    """Counts `Fraction`'s ``+ - *``, reflected forms included, while it is
+    entered, so it sees `Fraction` arithmetic by any route, `sum` and mixed
+    int operands included.  ``with FractionArithmetic() as ops: ...`` leaves
+    the count in ``ops.count``; ``ops.reset()`` sets it back to 0."""
+
+    OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__")
+
+    def __init__(self):
+        self.count = 0
+        self.originals = {name: getattr(Fraction, name)
+                          for name in self.OPERATORS}
+
+    def reset(self):
+        self.count = 0
+
+    def _counting(self, original):
+        def operator(a, b):
+            self.count += 1
+            return original(a, b)
+        return operator
+
+    def __enter__(self):
+        for name, original in self.originals.items():
+            setattr(Fraction, name, self._counting(original))
+        return self
+
+    def __exit__(self, *exc):
+        for name, original in self.originals.items():
+            setattr(Fraction, name, original)
 
 
 def cofactor_det(matrix: PolyMatrix) -> Polynomial:

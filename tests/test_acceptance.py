@@ -177,7 +177,7 @@ def test_criterion_6_pencil_equivalence():
         if null is not None:
             field = subspace.field
             inv_last = field.inv(null[-1])
-            derived = tuple(field.neg(field.mul(x, inv_last))
+            derived = tuple(field.normalize(-x * inv_last)
                             for x in null[:-1])
             if derived != coefficients:
                 disagreements += 1

@@ -26,14 +26,18 @@ from locspan import (
 )
 from locspan.exactalg import (
     Polynomial,
-    RationalField,
     grevlex_key,
     packed_masks,
     packed_width,
     try_exact_div,
 )
 
-from support import random_nonzero_polynomial, random_polynomial, variables
+from support import (
+    FractionArithmetic,
+    random_nonzero_polynomial,
+    random_polynomial,
+    variables,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -74,13 +78,13 @@ def s_polynomial(f, g):
     field = f.field
     lcm = monomial_lcm(f.leading_monomial(), g.leading_monomial())
     terms = {}
-    for h, sign in ((f, field.one), (g, field.neg(field.one))):
+    for h, sign in ((f, field.one), (g, field.normalize(-field.one))):
         lm, lc = h.leading_term()
-        factor = field.div(sign, lc)
+        factor = field.normalize(sign * field.inv(lc))
         shift = monomial_div(lcm, lm)
         for m, c in h.terms.items():
             m = monomial_mul(m, shift)
-            terms[m] = field.add(terms.get(m, field.zero), field.mul(factor, c))
+            terms[m] = field.normalize(terms.get(m, field.zero) + factor * c)
     return Polynomial._raw(f.nvars, field,
                            {m: c for m, c in terms.items() if c != field.zero})
 
@@ -96,10 +100,10 @@ def reference_normal_form(f, divisors):
         for g, glm, glc in table:
             if monomial_divides(glm, lm):
                 shift = monomial_div(lm, glm)
-                factor = field.div(lc, glc)
+                factor = field.normalize(lc * field.inv(glc))
                 for gm, gc in g.terms.items():
                     m = monomial_mul(gm, shift)
-                    c = field.sub(work.get(m, field.zero), field.mul(factor, gc))
+                    c = field.normalize(work.get(m, field.zero) - factor * gc)
                     if c == field.zero:
                         work.pop(m, None)
                     else:
@@ -123,11 +127,11 @@ def reference_try_exact_div(a, b):
         if not monomial_divides(blm, lm):
             return None
         shift = monomial_div(lm, blm)
-        factor = field.div(work[lm], blc)
+        factor = field.normalize(work[lm] * field.inv(blc))
         quotient[shift] = factor
         for gm, gc in b.terms.items():
             m = monomial_mul(gm, shift)
-            c = field.sub(work.get(m, field.zero), field.mul(factor, gc))
+            c = field.normalize(work.get(m, field.zero) - factor * gc)
             if c == field.zero:
                 work.pop(m, None)
             else:
@@ -422,26 +426,19 @@ def test_buchberger_matches_reference_on_fractions():
         assert buchberger(gens).polys == expected
 
 
-def test_normal_form_over_q_does_no_fraction_arithmetic(monkeypatch):
-    """Division over Q runs on integers: the field's ``mul`` and ``sub``
-    are never called, though the reference division calls both."""
-    calls = {"mul": 0, "sub": 0}
-    for name in calls:
-        original = getattr(RationalField, name)
-
-        def counting(self, a, b, name=name, original=original):
-            calls[name] += 1
-            return original(self, a, b)
-
-        monkeypatch.setattr(RationalField, name, counting)
+def test_normal_form_over_q_does_no_fraction_arithmetic():
+    """Division over Q runs on integers: no `Fraction` is added, subtracted
+    or multiplied, though the reference division does all that."""
     rng = random.Random(77)
-    f = _fraction_polynomial(rng, 4, max_degree=4, max_terms=8)
-    divisors = [_fraction_polynomial(rng, 4, max_degree=2, max_terms=4)
-                for _ in range(3)]
-    got = normal_form(f, divisors)
-    assert calls == {"mul": 0, "sub": 0}
-    assert _same(got, reference_normal_form(f, divisors))
-    assert calls["mul"] > 0 and calls["sub"] > 0
+    with FractionArithmetic() as ops:
+        f = _fraction_polynomial(rng, 4, max_degree=4, max_terms=8)
+        divisors = [_fraction_polynomial(rng, 4, max_degree=2, max_terms=4)
+                    for _ in range(3)]
+        ops.reset()
+        got = normal_form(f, divisors)
+        assert ops.count == 0
+        assert _same(got, reference_normal_form(f, divisors))
+        assert ops.count > 0
 
 
 # -- packed monomials -------------------------------------------------------------
@@ -602,31 +599,23 @@ def test_try_exact_div_across_width_steps(field):
     assert kinds.seen["exact"] >= 24 and kinds.seen["inexact"] >= 24
 
 
-def test_try_exact_div_over_q_does_no_fraction_arithmetic(monkeypatch):
-    """A multi-term exact division over Q runs on ints: the field's ``mul``
-    and ``sub`` are never called, though the reference division calls
-    both."""
-    calls = {"mul": 0, "sub": 0}
-    for name in calls:
-        original = getattr(RationalField, name)
-
-        def counting(self, a, b, name=name, original=original):
-            calls[name] += 1
-            return original(self, a, b)
-
-        monkeypatch.setattr(RationalField, name, counting)
+def test_try_exact_div_over_q_does_no_fraction_arithmetic():
+    """A multi-term exact division over Q runs on ints: no `Fraction` is
+    added, subtracted or multiplied, though the reference division does all
+    that."""
     rng = random.Random(85)
-    b = _fraction_polynomial(rng, 4, max_degree=3, max_terms=4)
-    while len(b.terms) < 3:
+    with FractionArithmetic() as ops:
         b = _fraction_polynomial(rng, 4, max_degree=3, max_terms=4)
-    q = _fraction_polynomial(rng, 4, max_degree=3, max_terms=6)
-    a = b * q
-    calls.update(mul=0, sub=0)
-    got = try_exact_div(a, b)
-    assert calls == {"mul": 0, "sub": 0}
-    assert got == q
-    assert _same(got, reference_try_exact_div(a, b))
-    assert calls["mul"] > 0 and calls["sub"] > 0
+        while len(b.terms) < 3:
+            b = _fraction_polynomial(rng, 4, max_degree=3, max_terms=4)
+        q = _fraction_polynomial(rng, 4, max_degree=3, max_terms=6)
+        a = b * q
+        ops.reset()
+        got = try_exact_div(a, b)
+        assert ops.count == 0
+        assert got == q
+        assert _same(got, reference_try_exact_div(a, b))
+        assert ops.count > 0
 
 
 # -- the packed pair loop against the reference --------------------------------
@@ -697,17 +686,9 @@ def test_buchberger_across_a_width_step(monkeypatch, field):
 
 
 def test_buchberger_over_q_does_no_fraction_arithmetic(monkeypatch):
-    """Over Q the pair loop runs on ints: no call of the field's ``mul`` or
-    ``add``, and no `Fraction` is built but the final basis's coefficients."""
-    calls = {"mul": 0, "add": 0, "built": 0}
-    for name in ("mul", "add"):
-        original = getattr(RationalField, name)
-
-        def counting(self, a, b, name=name, original=original):
-            calls[name] += 1
-            return original(self, a, b)
-
-        monkeypatch.setattr(RationalField, name, counting)
+    """Over Q the pair loop runs on ints: no `Fraction` is added, subtracted
+    or multiplied, and none is built but the final basis's coefficients."""
+    calls = {"built": 0}
     # arithmetic on Fractions builds its results through one of these two
     new = Fraction.__new__
 
@@ -728,10 +709,11 @@ def test_buchberger_over_q_does_no_fraction_arithmetic(monkeypatch):
     rng = random.Random(87)
     gens = [_fraction_polynomial(rng, 3, max_degree=3, max_terms=4)
             for _ in range(4)]
-    calls.update(mul=0, add=0, built=0)
-    basis = buchberger(gens).polys
-    built = calls["built"]
-    assert calls["mul"] == calls["add"] == 0
-    assert 0 < built <= sum(len(g.terms) for g in basis)
-    assert basis == reference_buchberger(gens)[0]
-    assert calls["mul"] > 0 and calls["add"] > 0
+    calls["built"] = 0
+    with FractionArithmetic() as ops:
+        basis = buchberger(gens).polys
+        built = calls["built"]
+        assert ops.count == 0
+        assert 0 < built <= sum(len(g.terms) for g in basis)
+        assert basis == reference_buchberger(gens)[0]
+        assert ops.count > 0

@@ -17,7 +17,6 @@ from locspan import (
 )
 from locspan.exactalg import (
     MAX_MODULUS,
-    RationalField,
     _is_prime,
     exact_div,
     format_polynomial,
@@ -25,6 +24,7 @@ from locspan.exactalg import (
 )
 
 from support import (
+    FractionArithmetic,
     const,
     random_nonzero_polynomial,
     random_polynomial,
@@ -245,10 +245,10 @@ def test_int_product_matches_field_arithmetic(field):
             assert (scalar * a).terms == expected.terms
 
 
-def test_product_over_q_makes_no_fraction_arithmetic(monkeypatch):
+def test_product_over_q_makes_no_fraction_arithmetic():
     """Over Q a product of multi-term polynomials with fractional
-    coefficients multiplies and sums ints: the field's ``mul`` and ``add``
-    are never called."""
+    coefficients multiplies and sums ints: no `Fraction` is added,
+    subtracted or multiplied, though the reference product does all that."""
     rng = random.Random(32)
     pairs = [(_random_operand(rng, QQ), _random_operand(rng, QQ))
              for _ in range(20)]
@@ -256,16 +256,13 @@ def test_product_over_q_makes_no_fraction_arithmetic(monkeypatch):
              and any(c.denominator > 1 for c in (*a.terms.values(),
                                                   *b.terms.values()))]
     assert len(pairs) >= 5
-
-    def refuse(self, a, b):
-        raise AssertionError("Fraction arithmetic in a product")
-
-    monkeypatch.setattr(RationalField, "mul", refuse)
-    monkeypatch.setattr(RationalField, "add", refuse)
-    products = [a * b for a, b in pairs]
-    monkeypatch.undo()
-    for (a, b), product in zip(pairs, products):
-        assert product.terms == reference_mul(a, b).terms
+    with FractionArithmetic() as ops:
+        products = [a * b for a, b in pairs]
+        assert ops.count == 0
+        expected = [reference_mul(a, b) for a, b in pairs]
+        assert ops.count > 0
+    for product, reference in zip(products, expected):
+        assert product.terms == reference.terms
 
 
 def test_gcd_lcm_product_random():
@@ -323,11 +320,20 @@ def test_prime_field_canonical_representatives():
     F5 = PrimeField(5)
     assert F5.normalize(-3) == 2
     assert F5.normalize(Fraction(2, 3)) == (2 * pow(3, -1, 5)) % 5
-    assert F5.sub(1, 4) == 2
+    assert F5.normalize(1 - 4) == 2
     with pytest.raises(ValueError):
         PrimeField(4)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_rational_inverse_is_a_fraction():
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert type(QQ.inv(Fraction(-3, 4))) is Fraction
+    with pytest.raises(TypeError):
+        QQ.inv(0.5)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
 
 
 def test_prime_modulus_check_is_exact_and_capped():
