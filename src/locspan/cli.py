@@ -55,6 +55,8 @@ from .localmem import (
     LinearSubspace,
     MinorFailure,
     PointFailure,
+    WitnessBoundsReport,
+    _is_linear_form,
     combination,
     common_nullvector,
     cramer_identity_holds,
@@ -73,6 +75,7 @@ from .matspace import (
     DEFAULT_SEARCH_BUDGET,
     MatrixSubspace,
     Rank1Idempotent,
+    _vectorize,
     complement_subspace,
     find_rank1_idempotent,
     is_rank1_idempotent_free,
@@ -80,7 +83,7 @@ from .matspace import (
     perp,
     trace_pairing,
 )
-from .polymat import ScalarMatrix
+from .polymat import ScalarMatrix, rank
 
 
 class ParseError(ValueError):
@@ -373,9 +376,6 @@ class InstanceFile:
         lines.append("end")
         return "\n".join(lines) + "\n"
 
-    def digest(self) -> str:
-        return _sha256(self.canonical_text())
-
     def header(self) -> dict:
         """Report keys field, n, d (codimension for matrices), instance and
         digest, the SHA-256 of the same rendering of the instance."""
@@ -468,8 +468,7 @@ def parse_instance(text: str) -> InstanceFile:
                 raise ParseError(
                     f"vector has {len(components)} components, expected {nvars}",
                     lineno, 1)
-            if not all(c.is_zero() or c.homogeneous_degree() == 1
-                       for c in components):
+            if not all(map(_is_linear_form, components)):
                 raise ParseError("component not a linear form", lineno, 1)
             vectors.append(tuple(components))
         else:
@@ -510,6 +509,29 @@ def _witness_json(witness: CramerWitness) -> dict:
                     for lam in witness.lambdas],
         "m": format_polynomial(witness.denominator_lcm),
     }
+
+
+def _bounds_json(report: WitnessBoundsReport) -> dict:
+    """The keys a `witness-bounds` payload adds to its `_witness_json`."""
+    return {"identity_ok": report.identity_ok,
+            "fractions_ok": report.fractions_ok,
+            "divisibility_ok": report.divisibility_ok,
+            "lcm_degree": report.lcm_degree,
+            "lcm_degree_below_dim": report.lcm_degree_below_dim,
+            "lambda_degrees": [list(t) for t in report.lambda_degrees]}
+
+
+def _pencil_json(field: Field, matrices, null) -> dict:
+    """The pencil payload; the coefficients divide by the last coordinate of
+    the common null vector, if there is one, which must not be zero."""
+    witness = {"matrices": [_matrix_json(m) for m in matrices],
+               "common_null": None, "coefficients": None}
+    if null is not None:
+        inv_last = field.inv(null[-1])
+        witness["common_null"] = [field.format(x) for x in null]
+        witness["coefficients"] = [field.format(field.normalize(-x * inv_last))
+                                   for x in null[:-1]]
+    return witness
 
 
 def _idempotent_json(found: Rank1Idempotent) -> dict:
@@ -599,27 +621,14 @@ def _cmd_witness_bounds(instance: InstanceFile, args) -> tuple:
     if witness is None:
         return False, None, None
     report = verify_witness_bounds(witness, subspace)
-    payload = _witness_json(witness)
-    payload.update((key, getattr(report, key)) for key in (
-        "identity_ok", "fractions_ok", "divisibility_ok", "lcm_degree",
-        "lcm_degree_below_dim"))
-    payload["lambda_degrees"] = [list(t) for t in report.lambda_degrees]
-    return report.ok, payload, None
+    return report.ok, _witness_json(witness) | _bounds_json(report), None
 
 
 def _cmd_pencil(instance: InstanceFile, args) -> tuple:
     subspace = instance.to_linear_subspace()
     matrices = pencil_coefficients(subspace)
     null = common_nullvector(matrices)
-    field = subspace.field
-    witness = {"matrices": [_matrix_json(m) for m in matrices],
-               "common_null": None, "coefficients": None}
-    if null is not None:
-        inv_last = field.inv(null[-1])
-        witness["common_null"] = [field.format(x) for x in null]
-        witness["coefficients"] = [field.format(field.normalize(-x * inv_last))
-                                   for x in null[:-1]]
-    return null is not None, witness, None
+    return null is not None, _pencil_json(subspace.field, matrices, null), None
 
 
 def _cmd_r1free(instance: InstanceFile, args) -> tuple:
@@ -731,9 +740,9 @@ def _instance(instance) -> InstanceFile:
 
 def _check_cramer(subspace: LinearSubspace, witness, checks: dict,
                   with_bounds: bool):
-    """Re-check a Cramer witness's identity and lcm; ``with_bounds`` adds
-    the degree, coprimality and divisibility flags a `witness-bounds`
-    report carries, which cost a gcd per lambda and C(n, d) minors."""
+    """Re-check a Cramer witness's identity and lcm; ``with_bounds`` also
+    compares each `_bounds_json` key of a `witness-bounds` report with its
+    recomputed value, at the cost of a gcd per lambda and C(n, d) minors."""
     lambdas = _entry(witness, "lambdas")
     nums = [_parse_poly(e, "num", subspace) for e in lambdas]
     dens = [_parse_poly(e, "den", subspace) for e in lambdas]
@@ -746,16 +755,18 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict,
                          "indices")
     cramer = CramerWitness(index_set, tuple(map(RationalFunction, nums, dens)), m)
     bounds = verify_witness_bounds(cramer, subspace) if with_bounds else None
+    same = {key: witness.get(key) == value
+            for key, value in _bounds_json(bounds).items()} if bounds else {}
     checks["identity_holds"] = (cramer_identity_holds(cramer, subspace)
-                                if bounds is None else bounds.identity_ok)
+                                if bounds is None else
+                                bounds.identity_ok and same["identity_ok"])
     checks["m_is_denominator_lcm"] = denominator_lcm(cramer.lambdas) == m
     if bounds is not None:
         checks["fractions_flag_matches"] = \
-            bounds.fractions_ok == witness.get("fractions_ok")
-        checks["divisibility_flag_matches"] = \
-            bounds.divisibility_ok == witness.get("divisibility_ok")
+            same["fractions_ok"] and same["lambda_degrees"]
+        checks["divisibility_flag_matches"] = same["divisibility_ok"]
         checks["lcm_degree_matches"] = \
-            bounds.lcm_degree == witness.get("lcm_degree")
+            same["lcm_degree"] and same["lcm_degree_below_dim"]
 
 
 def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
@@ -776,8 +787,9 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
             actual, stratum_ideal(subspace, s))
     else:
         point = _parse_vector(failure, "point", subspace.field)
-        rank_basis, rank_augmented = ranks_at(subspace, point)
-        checks["rank_jump"] = rank_augmented > rank_basis
+        ranks = ranks_at(subspace, point)
+        checks["rank_jump"] = ranks[1] > ranks[0] and \
+            _failure_json(PointFailure(point, *ranks)) == failure
 
 
 def _check_idempotent(subspace: MatrixSubspace, payload, checks: dict):
@@ -860,18 +872,21 @@ def verify_report(report: dict) -> dict:
             null = _parse_vector(witness, "common_null", field)
             checks["annihilates_pencil"] = not any(
                 any(m.matvec(null)) for m in matrices)
-            checks["last_coordinate_nonzero"] = null[-1] != field.zero
+            checks["last_coordinate_nonzero"] = null[-1] != field.zero and \
+                _pencil_json(field, matrices, null) == witness
     elif command == "perp" and witness:
         matrix_subspace = _instance(instance).to_matrix_subspace()
-        field = matrix_subspace.field
+        field, n = matrix_subspace.field, matrix_subspace.n
         basis = _parse_matrices(witness, "basis", field)
+        if any(b.rows != n or b.cols != n for b in basis):
+            raise ValueError("malformed report: 'basis' must hold n x n matrices")
         checks["orthogonal"] = all(
             trace_pairing(a, b) == field.zero
             for a in basis for b in matrix_subspace.basis)
-        checks["dimension_complement"] = (
-            len(basis) + matrix_subspace.dim == matrix_subspace.n ** 2)
-        checks["independent"] = MatrixSubspace(
-            basis, n=matrix_subspace.n, field=field).dim == len(basis)
+        checks["dimension_complement"] = \
+            len(basis) == witness.get("dim") == matrix_subspace.codim
+        checks["independent"] = rank(ScalarMatrix(
+            list(map(_vectorize, basis)), field, cols=n * n)) == len(basis)
     elif command == "tracezero":
         checks["outcome_matches"] = is_subspace_of_tracezero(
             _instance(instance).to_matrix_subspace()) == report.get("outcome")

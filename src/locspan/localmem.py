@@ -306,41 +306,28 @@ def verify_witness_bounds(witness: CramerWitness,
     q = subspace.basis_matrix
     identity_ok = cramer_identity_holds(witness, subspace)
 
-    fractions_ok = True
-    degrees = []
+    fractions_ok, degrees = True, []
     for lam in witness.lambdas:
         num, den = lam.numerator, lam.denominator
         if num.is_zero():
             degrees.append((None, 0))
-            if not den.is_one():
-                fractions_ok = False
+            fractions_ok = fractions_ok and den.is_one()
             continue
-        deg_num = num.homogeneous_degree()
-        deg_den = den.homogeneous_degree()
+        deg_num, deg_den = num.homogeneous_degree(), den.homogeneous_degree()
         degrees.append((deg_num, deg_den))
-        if deg_num is None or deg_den is None or deg_num != deg_den:
-            fractions_ok = False
-        elif deg_num > d:
-            fractions_ok = False
-        if den.leading_coefficient() != field.one:
-            fractions_ok = False
-        if not poly_gcd(num, den).is_one():
-            fractions_ok = False
+        # the gcd, the costly test, runs only while the others hold
+        fractions_ok = (fractions_ok and deg_num is not None
+                        and deg_num == deg_den <= d
+                        and den.leading_coefficient() == field.one
+                        and poly_gcd(num, den).is_one())
 
-    divisibility_ok = True
-    for rows in itertools.combinations(range(n), d):
-        det = q.submatrix(rows, range(d)).det()
-        if try_exact_div(det, m) is None:
-            divisibility_ok = False
-            break
-
-    lcm_degree = m.total_degree()
+    divisibility_ok = all(
+        try_exact_div(q.submatrix(rows, range(d)).det(), m) is not None
+        for rows in itertools.combinations(range(n), d))
     return WitnessBoundsReport(
-        identity_ok=identity_ok,
-        fractions_ok=fractions_ok,
+        identity_ok=identity_ok, fractions_ok=fractions_ok,
         divisibility_ok=divisibility_ok,
-        lcm_degree=int(lcm_degree) if m else 0,
-        dimension=d,
+        lcm_degree=int(m.total_degree()) if m else 0, dimension=d,
         lambda_degrees=tuple(degrees))
 
 

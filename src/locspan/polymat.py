@@ -230,14 +230,28 @@ class PolyMatrix:
 
     def det(self) -> Polynomial:
         """Exact determinant: expanded by minors up to `EXPANSION_LIMIT`
-        rows, by the columns' elimination above it."""
+        rows, above it the last pivot of the columns' elimination, signed by
+        the order of its pivot rows.  A zero row or two equal rows make it 0
+        before any column is reduced, and so does the first column that
+        depends on the columns before it, where the elimination stops."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows > EXPANSION_LIMIT:
-            return self._det_by_elimination()
-        minors = self._expand()  # its single entry, or none at det 0
-        return (minors.popitem()[1] if minors
-                else Polynomial.zero(self.nvars, self.field))
+        if self.rows <= EXPANSION_LIMIT:
+            minors = self._expand()  # its single entry, or none at det 0
+            return (minors.popitem()[1] if minors
+                    else Polynomial.zero(self.nvars, self.field))
+        if all(map(any, self.entries)) and len(set(self.entries)) == self.rows:
+            pivots, last = [], Polynomial.one(self.nvars, self.field)
+            for i, reduced in self._reduce(zip(*self.entries)):
+                if i is None:
+                    break
+                pivots.append(i)
+                last = reduced[i]
+            else:
+                inversions = sum(a > b for a, b
+                                 in itertools.combinations(pivots, 2))
+                return -last if inversions % 2 else last
+        return Polynomial.zero(self.nvars, self.field)
 
     def _expand(self) -> dict:
         """Division-free expansion by minors along the columns in turn.
@@ -283,23 +297,6 @@ class PolyMatrix:
                     minors[rows] = acc
         return {rows: Polynomial.from_cleared(self.nvars, self.field, scale, acc)
                 for rows, acc in minors.items()}
-
-    def _det_by_elimination(self) -> Polynomial:
-        """The last pivot of the columns' elimination, signed by the order
-        of its pivot rows.  It stops at the first column that depends on
-        the columns before it, where the determinant is 0, and a zero row
-        or two equal rows make it 0 before any column is reduced."""
-        if (not all(any(row) for row in self.entries)
-                or len(set(self.entries)) < self.rows):
-            return Polynomial.zero(self.nvars, self.field)
-        pivots, last = [], Polynomial.one(self.nvars, self.field)
-        for i, reduced in self._reduce(zip(*self.entries)):
-            if i is None:
-                return Polynomial.zero(self.nvars, self.field)
-            pivots.append(i)
-            last = reduced[i]
-        inversions = sum(a > b for a, b in itertools.combinations(pivots, 2))
-        return -last if inversions % 2 else last
 
     def kernel(self) -> tuple:
         """k with ``sum_i k_i row_i = 0`` for a (d+1) x d matrix T whose

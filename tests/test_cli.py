@@ -88,7 +88,7 @@ def test_parse_round_trip_on_corpus():
         reparsed = parse_instance(text)
         assert reparsed == instance
         assert reparsed.canonical_text() == text
-        assert reparsed.digest() == instance.digest()
+        assert reparsed.header()["digest"] == instance.header()["digest"]
 
 
 def test_parse_errors():
@@ -412,6 +412,8 @@ def _verify_file(capsys, tmp_path, report):
 
 SPAN_F_TEXT = ("field Q\nn 3\nkind linear-subspace\n"
                "q1 = [y1, y2, y3 - y1]\nq2 = [0, 0, y1]\nend\n")
+PERP_TEXT = instance_from_matrix_subspace(
+    perp(flat(local_only_example(4, 3)))).canonical_text()
 
 
 def test_verify_bad_scalars_exit_2(tmp_path, capsys):
@@ -500,6 +502,8 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
          "witness": {"matrices": [], "common_null": []}},
         {"command": "perp", "instance": matrix,
          "witness": {"basis": [[["1", "0"], ["0"]]]}},
+        {"command": "perp", "instance": matrix,
+         "witness": {"basis": [[["1"]]], "dim": 1}},
     ]
     for report in malformed:
         code, out, err = _verify_file(capsys, tmp_path, report)
@@ -844,6 +848,62 @@ def test_verify_refuses_an_outcome_its_certificate_contradicts(
         assert code == 2 and not out and "malformed report" in err, report
 
 
+def _with(report, part="witness", **changes):
+    """A copy of ``report`` whose ``part`` has ``changes`` made to it."""
+    return dict(report, **{part: dict(report[part], **changes)})
+
+
+#: Forged reports that each keep their outcome consistent with their
+#: certificate, and the verify check that must read false on each:
+#: (subcommand, instance, forgery, check).
+FORGERIES = {
+    "bounds-identity-flag": (
+        ["witness-bounds"], GOLDEN_TEXT,
+        lambda r: _with(dict(r, outcome=False), identity_ok=False),
+        "identity_holds"),
+    "bounds-lambda-degrees": (
+        ["witness-bounds"], GOLDEN_TEXT,
+        lambda r: _with(r, lambda_degrees=[[0, 0], [0, 0], [2, 2]]),
+        "fractions_flag_matches"),
+    "bounds-lcm-below-dim": (
+        ["witness-bounds"], GOLDEN_TEXT,
+        lambda r: _with(r, lcm_degree_below_dim=False), "lcm_degree_matches"),
+    "pencil-coefficients": (
+        ["pencil"], SPAN_F_TEXT, lambda r: _with(r, coefficients=["2", "0"]),
+        "last_coordinate_nonzero"),
+    "points-ranks": (
+        ["decide-local", "--method", "points"],
+        instance_from_subspace(
+            fraction_span_only_example(3, PrimeField(5))).canonical_text(),
+        lambda r: _with(r, "failure_witness", rank_basis=0, rank_augmented=3),
+        "rank_jump"),
+    "perp-dim": (
+        ["perp"], PERP_TEXT, lambda r: _with(r, dim=r["witness"]["dim"] + 1),
+        "dimension_complement"),
+    "perp-repeated-matrix": (
+        ["perp"], PERP_TEXT,
+        lambda r: _with(r, basis=[r["witness"]["basis"][0]] * r["witness"]["dim"]),
+        "independent"),
+}
+
+
+@pytest.mark.parametrize("argv, text, forge, check", FORGERIES.values(),
+                         ids=FORGERIES.keys())
+def test_verify_compares_every_reported_field(argv, text, forge, check,
+                                              capsys, monkeypatch, tmp_path):
+    genuine = _report_for(capsys, monkeypatch, argv, text)
+    assert all(verify_report(genuine).values())
+    forged = forge(genuine)
+    assert forged != genuine
+    assert verify_report(forged)[check] is False
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(forged))
+    code, out, _ = _run(capsys, ["verify", "--input", str(path), "--json"])
+    verified = json.loads(out)
+    assert code == 0 and verified["outcome"] is False
+    assert verified["witness"]["checks"][check] is False
+
+
 def test_verify_rejects_tampered_witness(capsys, monkeypatch):
     report = _report_for(capsys, monkeypatch, ["decide-span-l"], GOLDEN_TEXT)
     report["witness"]["m"] = "y2"
@@ -884,4 +944,4 @@ def test_reports_are_deterministic(capsys, monkeypatch):
 def test_instance_digest_is_stable(capsys, monkeypatch):
     report = _report_for(capsys, monkeypatch, ["decide-span-f"], GOLDEN_TEXT)
     reparsed = parse_instance(report["instance"])
-    assert reparsed.digest() == report["digest"]
+    assert reparsed.header()["digest"] == report["digest"]

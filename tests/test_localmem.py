@@ -180,6 +180,11 @@ def test_witness_bounds_flags_each_fraction_shape():
         report = verify_witness_bounds(forged, subspace)
         assert report.identity_ok and report.divisibility_ok
         assert not report.fractions_ok
+    # y2 / y1 as y1 y2 / y1^2: monic and of equal degrees 2 <= d, so only
+    # the gcd finds that it is not reduced
+    report = verify_witness_bounds(
+        _with_lambda(witness, 1, y1 * y2, y1 * y1), subspace)
+    assert report.lambda_degrees[1] == (2, 2) and not report.fractions_ok
     # coprime and monic, but of degree 4 > d.  The identity fails as well,
     # whatever m: it needs each denominator to divide m, and divisibility
     # needs m to divide the nonzero degree-3 minor

@@ -148,21 +148,23 @@ def _matrix_with_degenerate_lines(rng, field, size, kind=None):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)],
                          ids=["Q", "F3", "F5"])
-def test_expansion_equals_elimination(field):
+def test_expansion_equals_elimination(field, monkeypatch):
     rng = random.Random(16)
     kinds, nonzero = set(), 0
-    for size in range(1, polymat.EXPANSION_LIMIT + 1):
+    limit = polymat.EXPANSION_LIMIT
+    # with no room for the expansion, det() eliminates at every size
+    monkeypatch.setattr(polymat, "EXPANSION_LIMIT", 0)
+    for size in range(1, limit + 1):
         for _ in range(6):
             m, kind = _matrix_with_degenerate_lines(rng, field, size)
             det = _expanded_det(m)
-            assert det == m._det_by_elimination()
+            assert det == m.det()
             kinds.add(kind)
             nonzero += not det.is_zero()
     assert kinds == {0, 1, 2, 3} and nonzero >= 10
-    # above the limit det() eliminates; the expansion stays exact at any
-    # size, so it checks the elimination's nonzero values and their signs.
-    # Q stops at one 9-row matrix: a 10-row one takes seconds to eliminate
-    limit = polymat.EXPANSION_LIMIT
+    # the expansion stays exact at any size, so it checks the elimination's
+    # nonzero values and their signs above the limit too.  Q stops at one
+    # 9-row matrix: a 10-row one takes seconds to eliminate
     sizes = [limit + 1] if field == QQ else [limit + 1] * 2 + [limit + 2] * 2
     for size in sizes:
         m = PolyMatrix(_sparse_entries(rng, field, size))
