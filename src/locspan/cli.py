@@ -595,10 +595,8 @@ def _read_input(path: str) -> str:
 
 def _cmd_decide_local(instance: InstanceFile, args) -> tuple:
     subspace = instance.to_linear_subspace()
-    if args.method == "closure":
-        decision = local_membership_closure(subspace)
-    else:
-        decision = local_membership_points(subspace, budget=args.budget)
+    decision = (local_membership_closure(subspace) if args.method == "closure"
+                else local_membership_points(subspace, budget=args.budget))
     return decision.holds, None, _failure_json(decision.failure_witness)
 
 
@@ -732,10 +730,9 @@ def _parse_poly(payload, key: str, subspace: LinearSubspace) -> Polynomial:
                             subspace.field)
 
 
-def _instance(instance) -> InstanceFile:
-    if not isinstance(instance, InstanceFile):
-        raise ValueError("malformed report: no instance to check against")
-    return instance
+def _same(reported, value) -> bool:
+    """Whether a reported field is ``value`` as JSON text: ``1`` is not ``true``."""
+    return json.dumps(reported, sort_keys=True) == json.dumps(value, sort_keys=True)
 
 
 def _check_cramer(subspace: LinearSubspace, witness, checks: dict,
@@ -755,7 +752,7 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict,
                          "indices")
     cramer = CramerWitness(index_set, tuple(map(RationalFunction, nums, dens)), m)
     bounds = verify_witness_bounds(cramer, subspace) if with_bounds else None
-    same = {key: witness.get(key) == value
+    same = {key: _same(witness.get(key), value)
             for key, value in _bounds_json(bounds).items()} if bounds else {}
     checks["identity_holds"] = (cramer_identity_holds(cramer, subspace)
                                 if bounds is None else
@@ -789,93 +786,92 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
         point = _parse_vector(failure, "point", subspace.field)
         ranks = ranks_at(subspace, point)
         checks["rank_jump"] = ranks[1] > ranks[0] and \
-            _failure_json(PointFailure(point, *ranks)) == failure
+            _same(failure, _failure_json(PointFailure(point, *ranks)))
 
 
 def _check_idempotent(subspace: MatrixSubspace, payload, checks: dict):
     field = subspace.field
-    u = _parse_vector(payload, "u", field)
-    v = _parse_vector(payload, "v", field)
+    u, v = (_parse_vector(payload, key, field) for key in ("u", "v"))
     idempotent = Rank1Idempotent(u, v).matrix(field)
     checks["normalized"] = idempotent.trace() == field.one  # v^T u = 1
     checks["inside_subspace"] = subspace.contains(idempotent)
 
 
-def _certified_outcome(command, witness, failure) -> Optional[bool]:
-    """The outcome that a report's own certificate implies, or None for a
-    command whose report carries no certificate of its outcome."""
-    if command in ("decide-local", "r1free"):
-        return not failure
-    if command in ("decide-span-f", "decide-span-l", "idempotent-search"):
-        return bool(witness)
-    if command == "pencil":
-        return isinstance(witness, dict) and witness.get("common_null") is not None
-    if command == "witness-bounds":
-        return isinstance(witness, dict) and all(
-            witness.get(key) is True
-            for key in ("identity_ok", "fractions_ok", "divisibility_ok"))
-    if command == "perp":
-        return True
-    return None
+def _rederived_outcome(command: str, instance: InstanceFile) -> bool:
+    """The outcome of ``command`` on ``instance`` with the parser's defaults;
+    `decide-local` over F_p runs points, which every holding report implies."""
+    if command == "example":  # whether this is the example of its n and d
+        n, d = instance.nvars, len(instance.labels)
+        return n >= 4 and 3 <= d < n and instance.canonical_text() == \
+            instance_from_subspace(local_only_example(n, d)).canonical_text()
+    argv = [command]
+    if command == "decide-local" and isinstance(instance.field, PrimeField):
+        argv += ["--method", "points"]
+    return _COMMANDS[command][0](instance, _build_parser().parse_args(argv))[0]
 
 
 def verify_report(report: dict) -> dict:
-    """Re-check everything checkable in a previously emitted report."""
+    """Re-check a report on its embedded instance: its certificate, which an
+    ``outcome`` must not contradict, or else its re-derived outcome."""
     if not isinstance(report, dict):
         raise ValueError("malformed report: not a JSON object")
     command = report.get("command")
-    witness = report.get("witness")
-    failure = report.get("failure_witness")
-    digest = report.get("digest")
-    if digest is not None and digest != _sha256(_entry(report, "instance", str)):
+    if not isinstance(command, str) or command not in {*_COMMANDS, "example"}:
+        raise ValueError("malformed report: 'command' must name an instance "
+                         "subcommand or 'example'")
+    text = _entry(report, "instance", str)
+    if report.get("digest") not in (None, _sha256(text)):
         raise ValueError("malformed report: 'digest' is not the SHA-256 of "
                          "the instance")
-    expected = _certified_outcome(command, witness, failure)
-    if "outcome" in report and expected is not None \
-            and report["outcome"] is not expected:
-        raise ValueError("malformed report: 'outcome' contradicts the "
-                         "report's own witness")
-    instance = report.get("instance") and parse_instance(
-        _entry(report, "instance", str))
+    instance = parse_instance(text)
+    witness, failure = report.get("witness"), report.get("failure_witness")
     checks: dict = {}
 
     if command == "decide-span-f" and witness:
-        subspace = _instance(instance).to_linear_subspace()
+        subspace = instance.to_linear_subspace()
         coeffs = _parse_vector(witness, "coefficients", subspace.field)
         if len(coeffs) != subspace.dim:
             raise ValueError("malformed report: 'coefficients' must hold d entries")
         checks["combination_matches_target"] = \
             combination(subspace, coeffs) == subspace.coordinate_target()
+        certified = True
     elif command in ("decide-span-l", "witness-bounds") and witness:
-        _check_cramer(_instance(instance).to_linear_subspace(), witness,
-                      checks, command == "witness-bounds")
+        _check_cramer(instance.to_linear_subspace(), witness, checks,
+                      command == "witness-bounds")
+        certified = command == "decide-span-l" or all(
+            witness.get(key) is True
+            for key in ("identity_ok", "fractions_ok", "divisibility_ok"))
     elif command == "decide-local" and failure:
-        _check_local_failure(_instance(instance).to_linear_subspace(),
-                             failure, checks)
+        _check_local_failure(instance.to_linear_subspace(), failure, checks)
+        certified = False
     elif command == "r1free" and failure:
-        matrix_subspace = _instance(instance).to_matrix_subspace()
+        matrix_subspace = instance.to_matrix_subspace()
         if isinstance(failure, dict) and "idempotent" in failure:
             _check_idempotent(matrix_subspace, failure["idempotent"], checks)
         else:
             _check_local_failure(complement_subspace(matrix_subspace),
                                  failure, checks)
+        certified = False
     elif command == "idempotent-search" and witness:
-        _check_idempotent(_instance(instance).to_matrix_subspace(), witness,
-                          checks)
+        _check_idempotent(instance.to_matrix_subspace(), witness, checks)
+        certified = True
     elif command == "pencil" and witness:
-        subspace = _instance(instance).to_linear_subspace()
-        field = subspace.field
-        matrices = pencil_coefficients(subspace)
+        subspace = instance.to_linear_subspace()
+        matrices, field = pencil_coefficients(subspace), subspace.field
         checks["matrices_match"] = \
             matrices == _parse_matrices(witness, "matrices", field)
-        if witness.get("common_null") is not None:
+        certified = witness.get("common_null") is not None
+        if certified:
             null = _parse_vector(witness, "common_null", field)
             checks["annihilates_pencil"] = not any(
                 any(m.matvec(null)) for m in matrices)
             checks["last_coordinate_nonzero"] = null[-1] != field.zero and \
-                _pencil_json(field, matrices, null) == witness
+                _same(witness, _pencil_json(field, matrices, null))
+        else:
+            checks["no_common_null"] = common_nullvector(matrices) is None \
+                and _same(witness, _pencil_json(field, matrices, None))
     elif command == "perp" and witness:
-        matrix_subspace = _instance(instance).to_matrix_subspace()
+        matrix_subspace = instance.to_matrix_subspace()
         field, n = matrix_subspace.field, matrix_subspace.n
         basis = _parse_matrices(witness, "basis", field)
         if any(b.rows != n or b.cols != n for b in basis):
@@ -883,15 +879,18 @@ def verify_report(report: dict) -> dict:
         checks["orthogonal"] = all(
             trace_pairing(a, b) == field.zero
             for a in basis for b in matrix_subspace.basis)
-        checks["dimension_complement"] = \
-            len(basis) == witness.get("dim") == matrix_subspace.codim
+        checks["dimension_complement"] = len(basis) == matrix_subspace.codim \
+            and _same(witness.get("dim"), matrix_subspace.codim)
         checks["independent"] = rank(ScalarMatrix(
             list(map(_vectorize, basis)), field, cols=n * n)) == len(basis)
-    elif command == "tracezero":
-        checks["outcome_matches"] = is_subspace_of_tracezero(
-            _instance(instance).to_matrix_subspace()) == report.get("outcome")
+        certified = True
     else:
-        checks["nothing_to_verify"] = True
+        checks["outcome_matches"] = _same(report.get("outcome"),
+                                          _rederived_outcome(command, instance))
+        return checks
+    if "outcome" in report and report["outcome"] is not certified:
+        raise ValueError("malformed report: 'outcome' contradicts the "
+                         "report's own witness")
     return checks
 
 

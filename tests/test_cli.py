@@ -790,9 +790,10 @@ def test_every_witness_report_passes_verify(capsys, monkeypatch, tmp_path):
         code, out, _ = _run(capsys, ["verify", "--input", str(path), "--json"])
         assert code == 0
         assert json.loads(out)["outcome"] is True, (argv, out)
-        # the certificate decides the outcome, so a flipped one is refused
+        # the certificate decides the outcome, so a flipped one is refused;
+        # a report without one is re-derived, and a flipped one reads false
         flipped = dict(report, outcome=not report["outcome"])
-        if argv == ["tracezero"]:
+        if "outcome_matches" in checks:
             assert verify_report(flipped) == {"outcome_matches": False}
         else:
             with pytest.raises(ValueError, match="'outcome' contradicts"):
@@ -805,7 +806,7 @@ def test_witness_bounds_without_a_fraction_witness(capsys, monkeypatch,
     text = "field Q\nn 3\nkind linear-subspace\nq1 = [y2, 0, 0]\nend\n"
     report = _report_for(capsys, monkeypatch, ["witness-bounds"], text)
     assert report["outcome"] is False and report["witness"] is None
-    assert verify_report(report) == {"nothing_to_verify": True}
+    assert verify_report(report) == {"outcome_matches": True}
     code, out, _ = _verify_file(capsys, tmp_path, report)
     assert code == 0 and "outcome: true" in out
 
@@ -840,12 +841,14 @@ def test_verify_refuses_an_outcome_its_certificate_contradicts(
     bounds = _report_for(capsys, monkeypatch, ["witness-bounds"], text)
     assert local["outcome"] and span_l["outcome"] and bounds["outcome"]
     bounds["witness"]["fractions_ok"] = False  # the outcome is their conjunction
-    forged = [dict(local, outcome=False),
-              dict(local, outcome=False, digest="0" * 64),
+    forged = [dict(local, outcome=False, digest="0" * 64),
               dict(span_l, outcome=False), bounds]
     for report in forged:
         code, out, err = _verify_file(capsys, tmp_path, report)
         assert code == 2 and not out and "malformed report" in err, report
+    # a holding closure carries no certificate: verify re-derives it
+    code, out, _ = _verify_file(capsys, tmp_path, dict(local, outcome=False))
+    assert code == 0 and "outcome: false" in out
 
 
 def _with(report, part="witness", **changes):
@@ -884,6 +887,21 @@ FORGERIES = {
         ["perp"], PERP_TEXT,
         lambda r: _with(r, basis=[r["witness"]["basis"][0]] * r["witness"]["dim"]),
         "independent"),
+    # reported fields are compared as JSON text: 1 is not true, 3.0 not 3
+    "bounds-lcm-below-dim-as-int": (
+        ["witness-bounds"], GOLDEN_TEXT,
+        lambda r: _with(r, lcm_degree_below_dim=1), "lcm_degree_matches"),
+    "perp-dim-as-float": (
+        ["perp"], PERP_TEXT, lambda r: _with(r, dim=float(r["witness"]["dim"])),
+        "dimension_complement"),
+    "pencil-coefficients-without-common-null": (
+        ["pencil"], GOLDEN_TEXT,
+        lambda r: _with(r, coefficients=["1", "0", "0"]), "no_common_null"),
+    "pencil-without-common-null": (
+        ["pencil"], SPAN_F_TEXT,
+        lambda r: _with(dict(r, outcome=False), common_null=None,
+                        coefficients=None),
+        "no_common_null"),
 }
 
 
@@ -894,7 +912,7 @@ def test_verify_compares_every_reported_field(argv, text, forge, check,
     genuine = _report_for(capsys, monkeypatch, argv, text)
     assert all(verify_report(genuine).values())
     forged = forge(genuine)
-    assert forged != genuine
+    assert json.dumps(forged) != json.dumps(genuine)
     assert verify_report(forged)[check] is False
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(forged))
@@ -902,6 +920,108 @@ def test_verify_compares_every_reported_field(argv, text, forge, check,
     verified = json.loads(out)
     assert code == 0 and verified["outcome"] is False
     assert verified["witness"]["checks"][check] is False
+
+
+COUNTER_Q = instance_from_subspace(fraction_span_only_example(3)).canonical_text()
+COUNTER_F5 = instance_from_subspace(
+    fraction_span_only_example(3, PrimeField(5))).canonical_text()
+
+
+def _without(report, *keys):
+    return {key: value for key, value in report.items() if key not in keys}
+
+
+#: Edited reports that each passed verify with outcome true while verify
+#: re-checked only certificates: (subcommand, instance, edit, result), where
+#: the result is the verify outcome, or 2 for a report refused as malformed.
+UNCERTIFIED_EDITS = {
+    "span-f-no-witness": (
+        ["decide-span-f"], SPAN_F_TEXT,
+        lambda r: dict(r, witness=None, outcome=False), False),
+    "span-l-no-witness": (
+        ["decide-span-l"], GOLDEN_TEXT,
+        lambda r: dict(r, witness=None, outcome=False), False),
+    "bounds-no-witness": (
+        ["witness-bounds"], GOLDEN_TEXT,
+        lambda r: dict(r, witness=None, outcome=False), False),
+    "closure-no-failure": (
+        ["decide-local"], COUNTER_Q,
+        lambda r: dict(r, failure_witness=None, outcome=True), False),
+    "points-no-failure": (
+        ["decide-local", "--method", "points"], COUNTER_F5,
+        lambda r: dict(r, failure_witness=None, outcome=True), False),
+    "r1free-no-failure": (
+        ["r1free"], instance_from_matrix_subspace(perp(flat(
+            fraction_span_only_example(3, PrimeField(5))))).canonical_text(),
+        lambda r: dict(r, failure_witness=None, outcome=True), False),
+    "search-no-witness": (
+        ["idempotent-search"],
+        "field Fp 5\nn 2\nkind matrix-subspace\nb1 = [[1, 0], [0, 0]]\nend\n",
+        lambda r: dict(r, witness=None, outcome=False), False),
+    "pencil-no-common-null": FORGERIES["pencil-without-common-null"][:3] + (False,),
+    "bounds-lcm-below-dim-as-int":
+        FORGERIES["bounds-lcm-below-dim-as-int"][:3] + (False,),
+    "unknown-command": (
+        ["decide-span-f"], SPAN_F_TEXT, lambda r: dict(r, command="banana"), 2),
+    "closure-no-instance": (
+        ["decide-local"], COUNTER_Q,
+        lambda r: _without(dict(r, failure_witness=None, outcome=True),
+                           "instance", "digest"), 2),
+}
+
+
+@pytest.mark.parametrize("argv, text, edit, result", UNCERTIFIED_EDITS.values(),
+                         ids=UNCERTIFIED_EDITS.keys())
+def test_verify_rederives_what_no_certificate_settles(
+        argv, text, edit, result, capsys, monkeypatch, tmp_path):
+    edited = edit(_report_for(capsys, monkeypatch, argv, text))
+    code, out, err = _verify_file(capsys, tmp_path, edited)
+    if result == 2:
+        with pytest.raises(ValueError, match="malformed report"):
+            verify_report(edited)
+        assert code == 2 and not out and "malformed report" in err
+    else:
+        assert all(verify_report(edited).values()) is result
+        assert code == 0 and f"outcome: {json.dumps(result)}" in out
+
+
+def test_verify_rederives_by_default_methods_and_budgets(capsys, monkeypatch,
+                                                         tmp_path):
+    # a holding report over F_p is re-derived by points, which every holding
+    # closure implies; past a default budget verify exits 3, as the
+    # subcommand does
+    from locspan import cli
+    f5 = PrimeField(5)
+    text = instance_from_subspace(local_only_example(4, 3, f5)).canonical_text()
+    report = _report_for(capsys, monkeypatch, ["decide-local"], text)
+    monkeypatch.setattr(cli, "local_membership_closure", None)
+    assert verify_report(report) == {"outcome_matches": True}
+    identity = ", ".join(f"[{', '.join('1' if i == j else '0' for j in range(6))}]"
+                         for i in range(6))
+    over_budget = [  # 5^9 points, 5^12 candidates
+        {"command": "decide-local", "outcome": True,
+         "instance": instance_from_subspace(
+             local_only_example(9, 8, f5)).canonical_text()},
+        {"command": "idempotent-search", "outcome": False,
+         "instance": f"field Fp 5\nn 6\nkind matrix-subspace\n"
+                     f"b1 = [{identity}]\nend\n"}]
+    for report in over_budget:
+        code, out, err = _verify_file(capsys, tmp_path, report)
+        assert code == 3 and not out and "exceed the budget" in err, report
+
+
+def test_verify_of_an_example_needs_the_family_instance(capsys, monkeypatch):
+    report = _report_for(capsys, monkeypatch,
+                         ["example", "--n", "5", "--d", "4"], "")
+    assert verify_report(report) == {"outcome_matches": True}
+    assert verify_report(dict(report, outcome=False)) == {
+        "outcome_matches": False}
+    family_f5 = instance_from_subspace(
+        local_only_example(4, 3, PrimeField(5))).canonical_text()
+    for text in (GOLDEN_TEXT, COUNTER_Q, PERP_TEXT, family_f5):
+        forged = dict(report, instance=text, digest=None)
+        assert verify_report(forged) == {
+            "outcome_matches": text == GOLDEN_TEXT}, text
 
 
 def test_verify_rejects_tampered_witness(capsys, monkeypatch):

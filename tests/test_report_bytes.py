@@ -126,14 +126,14 @@ def test_reports_are_byte_identical():
 EXPECTED = {
     'family-4-3/decide-local': '0 c155740f5fd9baa0',
     'family-4-3/decide-local --json': '0 cf950e68ef4cf366',
-    'verify[family-4-3/decide-local]': '0 539fb4cebf84a399',
-    'verify[family-4-3/decide-local] --json': '0 33877cb495a3327f',
+    'verify[family-4-3/decide-local]': '0 56c03af51d759ad5',
+    'verify[family-4-3/decide-local] --json': '0 64f74e2d08dc2c1e',
     'family-4-3/decide-local --method points': '2 9c237764641eaca7',
     'family-4-3/decide-local --method points --json': '2 9c237764641eaca7',
     'family-4-3/decide-span-f': '0 a9eb48805b0c571f',
     'family-4-3/decide-span-f --json': '0 2a1f79519ea9257f',
-    'verify[family-4-3/decide-span-f]': '0 539fb4cebf84a399',
-    'verify[family-4-3/decide-span-f] --json': '0 33877cb495a3327f',
+    'verify[family-4-3/decide-span-f]': '0 56c03af51d759ad5',
+    'verify[family-4-3/decide-span-f] --json': '0 64f74e2d08dc2c1e',
     'family-4-3/decide-span-l': '0 1aabfddb81d270a6',
     'family-4-3/decide-span-l --json': '0 5f66557a543b6d36',
     'verify[family-4-3/decide-span-l]': '0 f655a97e8a8ae63c',
@@ -144,8 +144,8 @@ EXPECTED = {
     'verify[family-4-3/witness-bounds] --json': '0 56771d771a59623a',
     'family-4-3/pencil': '0 77ec4e87f96c1fbb',
     'family-4-3/pencil --json': '0 f428f1c4ac39a668',
-    'verify[family-4-3/pencil]': '0 db563c18d43586b7',
-    'verify[family-4-3/pencil] --json': '0 34e3532b1a4e3560',
+    'verify[family-4-3/pencil]': '0 7ac0b910650fa81d',
+    'verify[family-4-3/pencil] --json': '0 2ba44c6f52e28bbd',
     'family-4-3/r1free': '2 86227e68169fdf73',
     'family-4-3/r1free --json': '2 86227e68169fdf73',
     'family-4-3/idempotent-search': '2 86227e68169fdf73',
@@ -156,14 +156,14 @@ EXPECTED = {
     'family-4-3/tracezero --json': '2 86227e68169fdf73',
     'family-5-4/decide-local': '0 7b47c38b50a10245',
     'family-5-4/decide-local --json': '0 e2c5d4838f011310',
-    'verify[family-5-4/decide-local]': '0 4f24b610eb295882',
-    'verify[family-5-4/decide-local] --json': '0 9ebfbba8ad8a17e3',
+    'verify[family-5-4/decide-local]': '0 3b353d5b6b92d37b',
+    'verify[family-5-4/decide-local] --json': '0 6c5b81432fba9be8',
     'family-5-4/decide-local --method points': '2 9c237764641eaca7',
     'family-5-4/decide-local --method points --json': '2 9c237764641eaca7',
     'family-5-4/decide-span-f': '0 372fafd8b4e63a9f',
     'family-5-4/decide-span-f --json': '0 31f4a1c825cbd35f',
-    'verify[family-5-4/decide-span-f]': '0 4f24b610eb295882',
-    'verify[family-5-4/decide-span-f] --json': '0 9ebfbba8ad8a17e3',
+    'verify[family-5-4/decide-span-f]': '0 3b353d5b6b92d37b',
+    'verify[family-5-4/decide-span-f] --json': '0 6c5b81432fba9be8',
     'family-5-4/decide-span-l': '0 773796a0cdc09b1f',
     'family-5-4/decide-span-l --json': '0 ca9aa152a0ac7d14',
     'verify[family-5-4/decide-span-l]': '0 9e9d45fb7f42a33e',
@@ -174,8 +174,8 @@ EXPECTED = {
     'verify[family-5-4/witness-bounds] --json': '0 1a9bdddaaef2bb60',
     'family-5-4/pencil': '0 555dcc4d072367dd',
     'family-5-4/pencil --json': '0 d5ee748aabd55731',
-    'verify[family-5-4/pencil]': '0 8b140fbf3385310d',
-    'verify[family-5-4/pencil] --json': '0 e005791cbbd28661',
+    'verify[family-5-4/pencil]': '0 b85445023c6385c1',
+    'verify[family-5-4/pencil] --json': '0 acf51431006474e4',
     'family-5-4/r1free': '2 86227e68169fdf73',
     'family-5-4/r1free --json': '2 86227e68169fdf73',
     'family-5-4/idempotent-search': '2 86227e68169fdf73',
@@ -192,8 +192,8 @@ EXPECTED = {
     'counter-q/decide-local --method points --json': '2 9c237764641eaca7',
     'counter-q/decide-span-f': '0 0d94a9813a58b3b5',
     'counter-q/decide-span-f --json': '0 78f222ab6ec011dd',
-    'verify[counter-q/decide-span-f]': '0 597c581dbc343344',
-    'verify[counter-q/decide-span-f] --json': '0 99ed1646712305e4',
+    'verify[counter-q/decide-span-f]': '0 cb8e26d71d2b2680',
+    'verify[counter-q/decide-span-f] --json': '0 713734e7602f9c63',
     'counter-q/decide-span-l': '0 fb6263b0fb445628',
     'counter-q/decide-span-l --json': '0 7f70453b69e607bb',
     'verify[counter-q/decide-span-l]': '0 b55b5ebfa08cfe9e',
@@ -204,8 +204,8 @@ EXPECTED = {
     'verify[counter-q/witness-bounds] --json': '0 95ddac0a2c0088db',
     'counter-q/pencil': '0 9367f8b0296c9185',
     'counter-q/pencil --json': '0 ae63ca13a5e109a1',
-    'verify[counter-q/pencil]': '0 7c130f041fb1a134',
-    'verify[counter-q/pencil] --json': '0 98acde42f899634a',
+    'verify[counter-q/pencil]': '0 7d75dd8e2b87802a',
+    'verify[counter-q/pencil] --json': '0 ad2a16c2725a2a06',
     'counter-q/r1free': '2 86227e68169fdf73',
     'counter-q/r1free --json': '2 86227e68169fdf73',
     'counter-q/idempotent-search': '2 86227e68169fdf73',
@@ -224,8 +224,8 @@ EXPECTED = {
     'verify[counter-f5/decide-local --method points] --json': '0 9aa3b3b5b5cac711',
     'counter-f5/decide-span-f': '0 8626491062d0b8ce',
     'counter-f5/decide-span-f --json': '0 57f6140880c02607',
-    'verify[counter-f5/decide-span-f]': '0 516ca0c4a05f77bd',
-    'verify[counter-f5/decide-span-f] --json': '0 d9605acae07491a0',
+    'verify[counter-f5/decide-span-f]': '0 38f5e42ea6fb1797',
+    'verify[counter-f5/decide-span-f] --json': '0 b6b8ae87fe4403d0',
     'counter-f5/decide-span-l': '0 85d973522017ed30',
     'counter-f5/decide-span-l --json': '0 049050da8a19508b',
     'verify[counter-f5/decide-span-l]': '0 de74545abe66d985',
@@ -236,8 +236,8 @@ EXPECTED = {
     'verify[counter-f5/witness-bounds] --json': '0 c22994859bc1f789',
     'counter-f5/pencil': '0 807e29f6882e03c7',
     'counter-f5/pencil --json': '0 128e7bbe357705b6',
-    'verify[counter-f5/pencil]': '0 cfaa5e65f9fbf925',
-    'verify[counter-f5/pencil] --json': '0 dbc869c650da9cbd',
+    'verify[counter-f5/pencil]': '0 ed8fb4fe33691e3d',
+    'verify[counter-f5/pencil] --json': '0 09e2b1453c40004c',
     'counter-f5/r1free': '2 86227e68169fdf73',
     'counter-f5/r1free --json': '2 86227e68169fdf73',
     'counter-f5/idempotent-search': '2 86227e68169fdf73',
@@ -260,8 +260,8 @@ EXPECTED = {
     'perp-family-4-3/pencil --json': '2 e7301b695f38487f',
     'perp-family-4-3/r1free': '0 655a5645043700fd',
     'perp-family-4-3/r1free --json': '0 4347234589bc88fe',
-    'verify[perp-family-4-3/r1free]': '0 a1f59f7a6ab1f809',
-    'verify[perp-family-4-3/r1free] --json': '0 1d45e944cb231e55',
+    'verify[perp-family-4-3/r1free]': '0 a90049cae0fd86a8',
+    'verify[perp-family-4-3/r1free] --json': '0 3c925de7add775c2',
     'perp-family-4-3/idempotent-search': '2 92925d293208902e',
     'perp-family-4-3/idempotent-search --json': '2 92925d293208902e',
     'perp-family-4-3/perp': '0 2cecd4ed6105b4ce',
@@ -302,8 +302,8 @@ EXPECTED = {
     'verify[perp-counter-f5/tracezero] --json': '0 5beea102bd994973',
     'span-f-positive/decide-local': '0 8a790b54f1c7110a',
     'span-f-positive/decide-local --json': '0 f91e05365e871fb8',
-    'verify[span-f-positive/decide-local]': '0 a003a1830bc76081',
-    'verify[span-f-positive/decide-local] --json': '0 6fd7c60d749a6505',
+    'verify[span-f-positive/decide-local]': '0 1f762574608971bc',
+    'verify[span-f-positive/decide-local] --json': '0 40657212ad645dbb',
     'span-f-positive/decide-local --method points': '2 9c237764641eaca7',
     'span-f-positive/decide-local --method points --json': '2 9c237764641eaca7',
     'span-f-positive/decide-span-f': '0 d4c5a4fbffc405b8',
@@ -380,12 +380,12 @@ EXPECTED = {
     'non-linear/tracezero --json': '2 e8ce91545aaca119',
     'example --n 4 --d 3': '0 fa10762c10240e31',
     'example --n 4 --d 3 --json': '0 7964178e693fbfdd',
-    'verify[example --n 4 --d 3]': '0 539fb4cebf84a399',
-    'verify[example --n 4 --d 3] --json': '0 33877cb495a3327f',
+    'verify[example --n 4 --d 3]': '0 56c03af51d759ad5',
+    'verify[example --n 4 --d 3] --json': '0 64f74e2d08dc2c1e',
     'example --n 5 --d 4': '0 2d721cac7e2556f9',
     'example --n 5 --d 4 --json': '0 77010773eaafaa26',
-    'verify[example --n 5 --d 4]': '0 4f24b610eb295882',
-    'verify[example --n 5 --d 4] --json': '0 9ebfbba8ad8a17e3',
+    'verify[example --n 5 --d 4]': '0 3b353d5b6b92d37b',
+    'verify[example --n 5 --d 4] --json': '0 6c5b81432fba9be8',
     'example --n 3 --d 3': '2 41389a154de3d8b4',
     'example --n 3 --d 3 --json': '2 41389a154de3d8b4',
 }
