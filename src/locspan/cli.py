@@ -157,9 +157,9 @@ class _ExprParser:
     Every value is a term map ``{monomial: nonzero field value}`` that the
     parser owns, as `Polynomial.terms`; a constant is the map of the zero
     monomial ``unit``.  A sum adds its terms into one map, a lone constant
-    factor scales the other map, and other products and powers are
-    `Polynomial` arithmetic on `Polynomial._raw` wrappers.  ``tokens`` ends
-    with an empty string, so looking ahead is one index.
+    factor scales the other map, a one-term power raises its term, and the
+    rest is `Polynomial` arithmetic on `Polynomial._raw` wrappers.
+    ``tokens`` ends with an empty string, so looking ahead is one index.
     """
 
     def __init__(self, text: str, nvars: int, field: Field, line: int):
@@ -278,7 +278,8 @@ class _ExprParser:
                     for c in value.values()), default=0)
         self.check_budget(caret, base.total_degree() * k, comb(t + k - 1, k)
                           if 1 < t and k <= MAX_PARSE_DEGREE else t, k * bits)
-        value = (base ** k).terms
+        value = ({tuple(e * k for e in m): self.field.normalize(c ** k)
+                  for m, c in value.items()} if t == 1 else (base ** k).terms)
         self.bound(caret, value.values())
         return value
 

@@ -1,24 +1,24 @@
 """Exact linear algebra over polynomial rings, their fraction fields, and base fields.
 
-Polynomial matrices get determinants and the kernel of a (d+1) x d matrix
-in two ways.  Up to `EXPANSION_LIMIT` columns, the expansion by minors
-column by column divides nothing: each column is cleared of denominators
-over Q, and reduced mod p over F_p, and each minor is brought back into the
-field once at the end.  Above the limit, and for the row basis over the
-fraction field, one fraction-free elimination runs row by row.  Both
-multiply int term maps in `exactalg.add_product`.  Scalar matrices get
-Gauss-Jordan elimination to the reduced row echelon form, which is unique,
-so solutions (free variables 0) and nullspace bases are reproducible
-bit-exactly.  One elimination, `_rref`, serves both fields: it does field
-arithmetic with operators on `Fraction`s or ints, and over F_p reduces
-each row mod p as it is made.
+Polynomial matrices get determinants and the kernel of a (d+1) x d matrix in
+two ways; a zero row or column makes a determinant 0 before either runs.  Up
+to `EXPANSION_LIMIT` columns, the expansion by minors column by column
+divides nothing: each column is cleared of denominators over Q, and reduced
+mod p over F_p, and each minor is brought back into the field once at the
+end.  Above the limit, and for the row basis over the fraction field, one
+fraction-free elimination runs row by row.  Both multiply int term maps in
+`exactalg.add_product`.  Scalar matrices get Gauss-Jordan elimination to the
+reduced row echelon form, which is unique, so solutions (free variables 0)
+and nullspace bases are reproducible bit-exactly.  One elimination, `_rref`,
+serves both fields: it does field arithmetic with operators on `Fraction`s or
+ints, and over F_p reduces each row mod p as it is made.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from .exactalg import Field, Polynomial, add_product, exact_div
@@ -224,23 +224,27 @@ class PolyMatrix:
         sub = object.__new__(PolyMatrix)
         sub.rows, sub.cols = len(row_idx), len(col_idx)
         sub.nvars, sub.field = self.nvars, self.field
-        sub.entries = tuple(tuple(self.entries[i][j] for j in col_idx)
-                            for i in row_idx)
+        pick, rows = itemgetter(*col_idx), map(self.entries.__getitem__, row_idx)
+        sub.entries = (tuple(map(pick, rows)) if sub.cols > 1
+                       else tuple((pick(row),) for row in rows))  # one index: no tuple
         return sub
 
     def det(self) -> Polynomial:
-        """Exact determinant: expanded by minors up to `EXPANSION_LIMIT`
-        rows, above it the last pivot of the columns' elimination, signed by
-        the order of its pivot rows.  A zero row or two equal rows make it 0
-        before any column is reduced, and so does the first column that
-        depends on the columns before it, where the elimination stops."""
+        """Exact determinant: 0 at a zero row or column before either method
+        runs, else expanded by minors up to `EXPANSION_LIMIT` rows, above it
+        the last pivot of the columns' elimination, signed by the order of
+        its pivot rows.  The elimination gives 0 at two equal rows before
+        any column is reduced, and at the first column that depends on the
+        columns before it, where it stops."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
+        if not all(map(any, itertools.chain(self.entries, zip(*self.entries)))):
+            return Polynomial.zero(self.nvars, self.field)
         if self.rows <= EXPANSION_LIMIT:
             minors = self._expand()  # its single entry, or none at det 0
             return (minors.popitem()[1] if minors
                     else Polynomial.zero(self.nvars, self.field))
-        if all(map(any, self.entries)) and len(set(self.entries)) == self.rows:
+        if len(set(self.entries)) == self.rows:
             pivots, last = [], Polynomial.one(self.nvars, self.field)
             for i, reduced in self._reduce(zip(*self.entries)):
                 if i is None:

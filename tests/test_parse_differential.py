@@ -16,6 +16,7 @@ import pytest
 
 from locspan import QQ, Polynomial, PrimeField, format_polynomial
 from locspan.cli import (
+    MAX_PARSE_DEGREE,
     MAX_PARSE_DEPTH,
     MAX_PARSE_DIGITS,
     parse_instance,
@@ -349,3 +350,63 @@ def test_unprintable_coefficients_are_refused_where_made():
     for line in ("q1 = [2^10000*y1, y2]", f"q1 = [{digits[1:]}*y1, y2]",
                  "q1 = [(2^7000)*(2^7000)*y1, y2]"):
         assert _alike(_line_instance("Q", 2, line))[0] == "ok", line
+
+
+# -- powers of one term -----------------------------------------------------------
+
+POWER_FIELDS = (QQ, PrimeField(5), PrimeField(2 ** 31 - 1))
+POWER_IDS = ("Q", "F5", "F2^31-1")
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=POWER_IDS)
+def test_a_one_term_power_is_the_polynomial_power(field, monkeypatch):
+    """A one-term base to the k is its exponents times k with its coefficient
+    to the k, which is what `Polynomial.__pow__` gives; parsing it makes no
+    `__pow__` call."""
+    rng = random.Random(25)
+    cases = [("-3/2*y1", 0), ("-3/2", 0), ("1/7", 3), ("-2/9*y1*y3^2", 1)]
+    for _ in range(200):
+        exponents = [rng.randint(0, 3) for _ in range(3)]
+        # numerators and denominators prime to 5, so no base is zero in F5
+        coefficient = (f"{rng.choice(('', '-'))}"
+                       f"{rng.choice((1, 2, 3, 4, 6, 7, 8, 9, 11, 12))}"
+                       f"/{rng.choice((1, 2, 3, 4, 7, 9))}")
+        k = rng.randint(0, MAX_PARSE_DEGREE // max(1, sum(exponents)))
+        cases.append((f"{coefficient}*{_monomial(exponents)}", k))
+    bases = [parse_polynomial(base, 3, field) for base, _ in cases]
+
+    def refuse(self, k):
+        raise AssertionError("Polynomial.__pow__ on a one-term base")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    powers = [parse_polynomial(f"({base})^{k}", 3, field) for base, k in cases]
+    monkeypatch.undo()
+    for (text, k), base, power in zip(cases, bases, powers):
+        want = base ** k
+        assert power == want, (text, k)
+        assert list(map(type, power.terms.values())) == list(
+            map(type, want.terms.values())), (text, k)
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=POWER_IDS)
+def test_one_term_powers_are_refused_where_they_were(field):
+    # with y1 the degree budget refuses 3/2*y1 to the 33 first; a constant
+    # base, or y1^0, reaches the digit bound over Q and the bits budget over
+    # F_(2^31-1), where its coefficient has 31 bits
+    budget = "expansion exceeds the parser budget"
+    coefficient = "coefficient exceeds the parser budget"
+    refused = {QQ: coefficient, PrimeField(5): None,
+               PrimeField(2 ** 31 - 1): budget}
+    for text, col, message in (
+            ("(3/2*y1)^33", 9, budget),
+            ("y1^33", 3, budget),
+            ("y1 + (-1/2*3^300*y1)^32", 21, coefficient if field == QQ else None),
+            ("(-3/2)^9100*y2", 7, refused[field]),
+            ("(3/2*y1^0)^9100", 11, refused[field])):
+        outcome = _poly_outcome(parse_polynomial, text, 2, field)
+        if message is None:
+            assert outcome[0] == "ok", text
+        else:
+            assert outcome == ("ParseError", f"line 7, col {col}: {message}")
+        assert _agrees(outcome, _poly_outcome(reference_parse_polynomial,
+                                              text, 2, field)), text

@@ -68,6 +68,7 @@ def test_minors_1x1():
     assert [(r, c) for r, c, _ in got] == [
         ((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,))]
     assert [p for _, _, p in got] == [y1, zero, zero, y2]
+    assert m.submatrix((1,), (0,)).entries == ((zero,),)
 
 
 def test_minors_range_check():
@@ -152,7 +153,8 @@ def test_expansion_equals_elimination(field, monkeypatch):
     rng = random.Random(16)
     kinds, nonzero = set(), 0
     limit = polymat.EXPANSION_LIMIT
-    # with no room for the expansion, det() eliminates at every size
+    # with no room for the expansion, det() eliminates at every size unless
+    # a row or column is zero
     monkeypatch.setattr(polymat, "EXPANSION_LIMIT", 0)
     for size in range(1, limit + 1):
         for _ in range(6):
@@ -320,6 +322,26 @@ def test_zero_or_repeated_row_is_singular_before_elimination(field, monkeypatch)
             m, _ = _matrix_with_degenerate_lines(rng, field, 10, kind)
             assert m.det().is_zero()
     assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_zero_row_or_column_is_zero_before_either_method(field, monkeypatch):
+    # sizes on both sides of the expansion limit: neither the expansion nor
+    # the elimination runs on a matrix with a zero row or column
+    rng = random.Random(25)
+
+    def refuse(self, *args):
+        raise AssertionError("det() expanded or eliminated a zero line")
+
+    monkeypatch.setattr(PolyMatrix, "_expand", refuse)
+    monkeypatch.setattr(PolyMatrix, "_reduce", refuse)
+    assert polymat.EXPANSION_LIMIT < 10
+    for kind in (1, 2):
+        for size in range(1, 11):
+            m, _ = _matrix_with_degenerate_lines(rng, field, size, kind)
+            det = m.det()
+            assert det.is_zero() and det == cofactor_det(m)
+            assert det.field == field and det.nvars == m.nvars
 
 
 def test_closure_determinants_divide_nothing(monkeypatch):
