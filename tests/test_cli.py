@@ -589,7 +589,8 @@ def test_dense_rank_and_minor_checks_stay_polynomial(tmp_path, capsys):
     assert code == 2 and not out and "dependent over the fraction field" in err
 
     # full rank: the Cramer witness comes from one kernel of a 25 x 24
-    # matrix (about 90 s when it took 25 separate determinants)
+    # matrix, one elimination of [T | I] (0.4 s on a 2-core VM; 25
+    # separate 24 x 24 determinants took 2.1-2.6 s)
     path = _write_instance(tmp_path, _dense_single_variable(24, 24))
     started = time.monotonic()
     code, out, _ = _run(capsys, ["decide-span-l", "--input", path, "--json"])
