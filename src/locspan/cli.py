@@ -740,7 +740,7 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict,
                   with_bounds: bool):
     """Re-check a Cramer witness's identity and lcm; ``with_bounds`` also
     compares each `_bounds_json` key of a `witness-bounds` report with its
-    recomputed value, at the cost of a gcd per lambda and C(n, d) minors."""
+    recomputed value (a gcd per lambda; C(n, d) minors for a forged one)."""
     lambdas = _entry(witness, "lambdas")
     nums = [_parse_poly(e, "num", subspace) for e in lambdas]
     dens = [_parse_poly(e, "den", subspace) for e in lambdas]

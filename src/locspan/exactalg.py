@@ -267,14 +267,14 @@ class Polynomial:
         self._lead = self._cleared = self._integer = None
 
     @classmethod
-    def _raw(cls, nvars: int, field: Field, terms: dict, cleared=None):
+    def _raw(cls, nvars: int, field: Field, terms: dict):
         # internal fast path: terms must already be canonical, and no caller
         # may change the dict afterwards (the leading term is cached)
         p = object.__new__(cls)
         p.nvars = nvars
         p.field = field
         p.terms = terms
-        p._lead, p._cleared, p._integer = None, cleared, None
+        p._lead = p._cleared = p._integer = None
         return p
 
     @classmethod
@@ -299,17 +299,14 @@ class Polynomial:
     @classmethod
     def constant(cls, value, nvars: int, field: Field) -> "Polynomial":
         v = field.normalize(value)
-        if v == field.zero:
-            return cls._raw(nvars, field, {})
-        zero, (num, den) = (0,) * nvars, v.as_integer_ratio()
-        return cls._raw(nvars, field, {zero: v}, (den, {zero: num}))
+        return cls._raw(nvars, field, {(0,) * nvars: v} if v else {})
 
     @classmethod
     def variable(cls, index: int, nvars: int, field: Field) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for n={nvars}")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._raw(nvars, field, {mono: field.one}, (1, {mono: 1}))
+        return cls._raw(nvars, field, {mono: field.one})
 
     # -- basic queries ------------------------------------------------------
 
@@ -498,23 +495,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, self.field, frozenset(self.terms.items())))
 
-    # -- evaluation and variable reindexing ---------------------------------
-
-    def evaluate(self, point: Sequence):
-        """Exact value of the polynomial at a point of the coefficient field."""
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.nvars}")
-        norm = self.field.normalize
-        values = [norm(v) for v in point]
-        total = self.field.zero
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = norm(term * values[i])
-            total = norm(total + term)
-        return total
+    # -- variable reindexing ------------------------------------------------
 
     def extend(self, nvars: int) -> "Polynomial":
         """Same polynomial viewed in a larger ambient ring (new vars appended)."""

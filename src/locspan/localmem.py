@@ -299,7 +299,8 @@ def cramer_identity_holds(witness: CramerWitness,
 def verify_witness_bounds(witness: CramerWitness,
                           subspace: LinearSubspace) -> WitnessBoundsReport:
     """Re-check a Cramer witness: identity, degree/coprimality shape, and
-    divisibility of every maximal basis minor by the denominator lcm."""
+    divisibility of every maximal basis minor by the denominator lcm, which
+    Cramer's rule proves for an lcm of reduced fractions (others enumerate)."""
     n, d = subspace.nvars, subspace.dim
     field = subspace.field
     m = witness.denominator_lcm
@@ -321,7 +322,11 @@ def verify_witness_bounds(witness: CramerWitness,
                         and den.leading_coefficient() == field.one
                         and poly_gcd(num, den).is_one())
 
-    divisibility_ok = all(
+    # Cramer's rule on any row set J with det Q_J != 0 makes each
+    # lambda_j det Q_J a polynomial, so a reduced denominator divides
+    # det Q_J, and so does the lcm of them all; m divides a zero minor too
+    divisibility_ok = (identity_ok and fractions_ok
+                       and m == denominator_lcm(witness.lambdas)) or all(
         try_exact_div(q.submatrix(rows, range(d)).det(), m) is not None
         for rows in itertools.combinations(range(n), d))
     return WitnessBoundsReport(
@@ -500,10 +505,7 @@ def local_only_example(n: int, d: int, field: Optional[Field] = None) -> LinearS
     vectors = [tuple(q1), tuple(q2), tuple(q3)]
     for j in range(4, d + 1):
         vectors.append(unit(j - 4, y[j - 1]))
-    subspace = LinearSubspace(vectors)
-    if not has_free_rank(subspace):
-        raise AssertionError("family construction lost independence")
-    return subspace
+    return LinearSubspace(vectors)
 
 
 def fraction_span_only_example(n: int = 3, field: Optional[Field] = None) -> LinearSubspace:

@@ -106,6 +106,17 @@ def subspace_containing_target(rng, n, d, field=QQ):
             return subspace
 
 
+def vandermonde_y1(n, d, field=QQ):
+    """q_1 = y and q_j = (1^(j-1) y1, 2^(j-1) y1, ..., n^(j-1) y1) for
+    j = 2..d: y = q_1, so the witness is (1, 0, ..., 0) with m = 1, while
+    every one of the C(n, d) maximal minors is a nonzero multiple of
+    y1^(d-1)."""
+    y = coordinate_vector(n, field)
+    return LinearSubspace([y] + [tuple(y[0].scale(i ** (j - 1))
+                                       for i in range(1, n + 1))
+                                 for j in range(2, d + 1)])
+
+
 def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     """Independent product oracle: field products and sums on every pair of
     terms, each normalised, where `Polynomial.__mul__` multiplies cleared
@@ -127,6 +138,24 @@ def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
                 else:
                     out[m] = s
     return Polynomial._raw(a.nvars, field, out)
+
+
+def evaluate(p: Polynomial, point) -> object:
+    """Exact value of ``p`` at a point of its coefficient field: each
+    coordinate normalised, then field products and sums term by term."""
+    if len(point) != p.nvars:
+        raise ValueError(
+            f"point has {len(point)} coordinates, expected {p.nvars}")
+    norm = p.field.normalize
+    values = [norm(v) for v in point]
+    total = p.field.zero
+    for mono, coeff in p.terms.items():
+        term = coeff
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = norm(term * values[i])
+        total = norm(total + term)
+    return total
 
 
 class FractionArithmetic:

@@ -23,6 +23,8 @@ from locspan.cli import (
 )
 from locspan.matspace import flat, perp
 
+from support import vandermonde_y1
+
 GOLDEN_TEXT = """\
 # the standard n=4, d=3 instance
 field Q
@@ -611,6 +613,26 @@ def test_dense_rank_and_minor_checks_stay_polynomial(tmp_path, capsys):
     assert verify_report(forged) == {"minor_matches": False,
                                      "minor_outside_radical": True}
     assert time.monotonic() - started < 1.0
+
+
+def test_witness_bounds_proves_divisibility_without_the_minors(tmp_path,
+                                                               capsys):
+    # y = q1, and each of the C(14, 7) = 3432 maximal minors is a nonzero
+    # multiple of y1^6: enumerating them took 3.2 s on a 2-core VM, where
+    # Cramer's rule proves m = 1 divides them all
+    import time
+    text = instance_from_subspace(vandermonde_y1(14, 7)).canonical_text()
+    started = time.monotonic()
+    code, out, _ = _run(capsys, ["witness-bounds", "--input",
+                                 _write_instance(tmp_path, text), "--json"])
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and json.loads(out)["outcome"] is True
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    started = time.monotonic()
+    code, out, _ = _run(capsys, ["verify", "--input", str(report), "--json"])
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and json.loads(out)["outcome"] is True
 
 
 def test_dimension_cap_exits_2_before_allocating(tmp_path, capsys):

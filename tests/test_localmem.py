@@ -29,11 +29,17 @@ from locspan import (
     unflat,
     verify_witness_bounds,
 )
-from locspan import localmem
+from locspan import CramerWitness, PolyMatrix, localmem
+from locspan.exactalg import try_exact_div
 from locspan.localmem import _projective_representatives, ranks_at
 from locspan.polymat import rank
 
-from support import random_subspace, subspace_containing_target, variables
+from support import (
+    random_subspace,
+    subspace_containing_target,
+    vandermonde_y1,
+    variables,
+)
 
 
 def _span_y(n, field=QQ):
@@ -71,6 +77,14 @@ def test_free_rank():
     doubled = tuple(c.scale(2) for c in y)
     assert not has_free_rank(LinearSubspace([y, doubled]))
     assert has_free_rank(_span_y(3))
+
+
+def test_family_has_free_rank():
+    # `local_only_example` builds independent vectors and does not re-check
+    for field in (QQ, PrimeField(3), PrimeField(5)):
+        for n in range(4, 11):
+            for d in range(3, n):
+                assert has_free_rank(local_only_example(n, d, field)), (n, d)
 
 
 # -- span over the base field -------------------------------------------------
@@ -192,6 +206,58 @@ def test_witness_bounds_flags_each_fraction_shape():
     report = verify_witness_bounds(forged, subspace)
     assert report.lambda_degrees[1] == (4, 4) and report.divisibility_ok
     assert not (report.fractions_ok or report.identity_ok)
+
+
+def _divides_every_maximal_minor(m, subspace):
+    """The divisibility flag by its definition, minor by minor."""
+    q, d = subspace.basis_matrix, subspace.dim
+    return all(try_exact_div(q.submatrix(rows, range(d)).det(), m) is not None
+               for rows in itertools.combinations(range(subspace.nvars), d))
+
+
+def test_witness_bounds_divisibility_by_cramer_rule(monkeypatch):
+    # a genuine witness settles divisibility by Cramer's rule, with only the
+    # index minor its identity needs; any other witness enumerates C(n, d)
+    dets = []
+    det = PolyMatrix.det
+    monkeypatch.setattr(PolyMatrix, "det",
+                        lambda self: dets.append(self) or det(self))
+
+    def minors_made(witness, subspace):
+        dets.clear()
+        report = verify_witness_bounds(witness, subspace)
+        made = len(dets)
+        assert report.divisibility_ok == _divides_every_maximal_minor(
+            witness.denominator_lcm, subspace)
+        return made
+
+    genuine = [local_only_example(n, d) for n in (4, 5, 6) for d in range(3, n)]
+    genuine += [random_subspace(random.Random(seed), 4, 4) for seed in (1, 2, 3)]
+    genuine.append(vandermonde_y1(12, 6))
+    for subspace in genuine:
+        witness = span_over_fractions(subspace)
+        assert minors_made(witness, subspace) == 1
+
+    y1, y2, y3 = variables(3)
+    zero = Polynomial.zero(3, QQ)
+    shapes = LinearSubspace([(y1, zero, y3), (zero, y1, zero),
+                             (zero, zero, y1)])
+    witness = span_over_fractions(shapes)
+    forged = [(_with_lambda(witness, 2, zero, y1), shapes),
+              (_with_lambda(witness, 1, y2.scale(2), y1.scale(2)), shapes),
+              (_with_lambda(witness, 1, y1 * y2, y1 * y1), shapes),
+              (_with_lambda(witness, 1, y2 ** 4, y1 ** 4), shapes)]
+    # m times y1 or y2: the identity holds and the fractions are reduced, but
+    # m is not their lcm.  Here m = y1 on both subspaces, whose nonzero
+    # maximal minors are y1^3 and y1^2 y2, so y1^2 divides them and y1 y2
+    # does not
+    for subspace in (shapes, local_only_example(4, 3)):
+        w = span_over_fractions(subspace)
+        for y in subspace.coordinate_target()[:2]:
+            forged.append((CramerWitness(w.index_set, w.lambdas,
+                                         w.denominator_lcm * y), subspace))
+    for witness, subspace in forged:  # enumerated, up to the first failure
+        assert minors_made(witness, subspace) > 1
 
 
 # -- local membership: closure --------------------------------------------------
@@ -545,7 +611,6 @@ def test_closure_over_prime_field_implies_points():
 
 def test_witness_identity_and_divisibility_random():
     rng = random.Random(38)
-    from locspan.exactalg import try_exact_div
     for _ in range(12):
         n = rng.randint(3, 4)
         subspace = subspace_containing_target(rng, n, rng.randint(1, n - 1))
@@ -553,10 +618,7 @@ def test_witness_identity_and_divisibility_random():
         report = verify_witness_bounds(witness, subspace)
         assert report.identity_ok
         assert report.divisibility_ok
-        q = subspace.basis_matrix
-        for rows in itertools.combinations(range(n), subspace.dim):
-            det = q.submatrix(rows, range(subspace.dim)).det()
-            assert try_exact_div(det, witness.denominator_lcm) is not None
+        assert _divides_every_maximal_minor(witness.denominator_lcm, subspace)
 
 
 def test_degree_bound_when_local_membership_holds():
