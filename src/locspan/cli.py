@@ -75,7 +75,6 @@ from .matspace import (
     DEFAULT_SEARCH_BUDGET,
     MatrixSubspace,
     Rank1Idempotent,
-    _vectorize,
     complement_subspace,
     find_rank1_idempotent,
     is_rank1_idempotent_free,
@@ -83,7 +82,7 @@ from .matspace import (
     perp,
     trace_pairing,
 )
-from .polymat import ScalarMatrix, rank
+from .polymat import ScalarMatrix, independent
 
 
 class ParseError(ValueError):
@@ -793,6 +792,8 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
 def _check_idempotent(subspace: MatrixSubspace, payload, checks: dict):
     field = subspace.field
     u, v = (_parse_vector(payload, key, field) for key in ("u", "v"))
+    if len(u) != subspace.n or len(v) != subspace.n:
+        raise ValueError("malformed report: 'u' and 'v' must hold n entries")
     idempotent = Rank1Idempotent(u, v).matrix(field)
     checks["normalized"] = idempotent.trace() == field.one  # v^T u = 1
     checks["inside_subspace"] = subspace.contains(idempotent)
@@ -864,6 +865,9 @@ def verify_report(report: dict) -> dict:
         certified = witness.get("common_null") is not None
         if certified:
             null = _parse_vector(witness, "common_null", field)
+            if len(null) != subspace.nvars:
+                raise ValueError("malformed report: 'common_null' must hold "
+                                 "n entries")
             checks["annihilates_pencil"] = not any(
                 any(m.matvec(null)) for m in matrices)
             checks["last_coordinate_nonzero"] = null[-1] != field.zero and \
@@ -882,8 +886,7 @@ def verify_report(report: dict) -> dict:
             for a in basis for b in matrix_subspace.basis)
         checks["dimension_complement"] = len(basis) == matrix_subspace.codim \
             and _same(witness.get("dim"), matrix_subspace.codim)
-        checks["independent"] = rank(ScalarMatrix(
-            list(map(_vectorize, basis)), field, cols=n * n)) == len(basis)
+        checks["independent"] = independent(basis)
         certified = True
     else:
         checks["outcome_matches"] = _same(report.get("outcome"),

@@ -37,8 +37,8 @@ from .polymat import (
     PolyMatrix,
     ScalarMatrix,
     _rref,
+    independent,
     nullspace_over_field,
-    rank,
     solve_over_field,
 )
 
@@ -144,13 +144,6 @@ class LinearSubspace:
             for i in range(n))
         return width, table
 
-    @cached_property
-    def coefficient_system(self) -> ScalarMatrix:
-        """The n^2 x d matrix whose column i lists the entries of ``B_i``."""
-        return ScalarMatrix.from_columns(
-            [[x for row in b.entries for x in row] for b in self.coeff_matrices],
-            self.field)
-
     def __repr__(self):
         return (f"LinearSubspace(n={self.nvars}, d={self.dim}, "
                 f"field={self.field!r})")
@@ -250,9 +243,11 @@ def span_over_field(subspace: LinearSubspace) -> Optional[tuple]:
     Solved as ``sum c_i B_i = I`` over the coefficient matrices; when a
     solution exists the one with free variables set to 0 is returned.
     """
-    identity = ScalarMatrix.identity(subspace.nvars, subspace.field)
-    return solve_over_field(subspace.coefficient_system,
-                            [x for row in identity.entries for x in row])
+    field = subspace.field
+    system = ScalarMatrix.from_columns(
+        [b.vector() for b in subspace.coeff_matrices], field)
+    return solve_over_field(
+        system, ScalarMatrix.identity(subspace.nvars, field).vector())
 
 
 def span_over_fractions(subspace: LinearSubspace) -> Optional[CramerWitness]:
@@ -449,7 +444,7 @@ def pencil_coefficients(subspace: LinearSubspace) -> list:
     n, d = subspace.nvars, subspace.dim
     if d != n - 1:
         raise ValueError("pencil decomposition needs exactly n - 1 vectors")
-    if rank(subspace.coefficient_system) < d:
+    if not independent(subspace.coeff_matrices):
         raise ValueError("spanning vectors are dependent over the field")
     identity = ScalarMatrix.identity(n, subspace.field)
     return [ScalarMatrix.from_columns(

@@ -28,10 +28,9 @@ from .localmem import (
 from .polymat import (
     ScalarMatrix,
     _solve_rows,
+    independent,
     nullspace_over_field,
     outer_product,
-    rank,
-    solve_over_field,
 )
 
 #: Default cap on p**(2n), the size of the (u, v) space the search decides.
@@ -52,11 +51,8 @@ class MatrixSubspace:
         for b in basis:
             if b.rows != n or b.cols != n or b.field != field:
                 raise ValueError("basis matrices must all be n x n over one field")
-        if basis:
-            stacked = ScalarMatrix([_vectorize(b) for b in basis], field,
-                                   cols=n * n)
-            if rank(stacked) != len(basis):
-                raise ValueError("basis matrices are linearly dependent")
+        if not independent(basis):
+            raise ValueError("basis matrices are linearly dependent")
         self.n = n
         self.field = field
         self.basis = basis
@@ -70,25 +66,14 @@ class MatrixSubspace:
         return self.n * self.n - len(self.basis)
 
     def contains(self, matrix: ScalarMatrix) -> bool:
-        if not self.basis:
-            return all(x == self.field.zero for row in matrix.entries for x in row)
-        system = ScalarMatrix.from_columns([_vectorize(b) for b in self.basis],
-                                           self.field)
-        return solve_over_field(system, _vectorize(matrix)) is not None
+        """Whether ``matrix`` is in the span.  The basis is independent, so
+        a dependency of the basis and ``matrix`` has a nonzero coefficient
+        on ``matrix``, which is then a combination of the basis."""
+        return not independent(self.basis + (matrix,))
 
     def __repr__(self):
         return (f"MatrixSubspace(n={self.n}, dim={self.dim}, "
                 f"codim={self.codim}, field={self.field!r})")
-
-
-def _vectorize(matrix: ScalarMatrix) -> list:
-    return [matrix.entries[i][j]
-            for i in range(matrix.rows) for j in range(matrix.cols)]
-
-
-def _unvectorize(vec: Sequence, n: int, field: Field) -> ScalarMatrix:
-    return ScalarMatrix([[vec[i * n + j] for j in range(n)] for i in range(n)],
-                        field)
 
 
 @dataclass(frozen=True)
@@ -124,7 +109,8 @@ def perp(subspace: MatrixSubspace) -> MatrixSubspace:
     constraints = [[b[j, i] for i in range(n) for j in range(n)]
                    for b in subspace.basis]
     system = ScalarMatrix(constraints, field, cols=n * n)
-    basis = [_unvectorize(v, n, field) for v in nullspace_over_field(system)]
+    basis = [ScalarMatrix([v[i * n:(i + 1) * n] for i in range(n)], field)
+             for v in nullspace_over_field(system)]
     return MatrixSubspace(basis, n=n, field=field)
 
 

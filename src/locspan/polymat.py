@@ -76,6 +76,10 @@ class ScalarMatrix:
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
+    def vector(self) -> list:
+        """The entries row by row."""
+        return [x for row in self.entries for x in row]
+
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
@@ -142,6 +146,13 @@ def rref(matrix: ScalarMatrix) -> tuple:
 
 def rank(matrix: ScalarMatrix) -> int:
     return len(rref(matrix))
+
+
+def independent(matrices: Sequence[ScalarMatrix]) -> bool:
+    """Whether the matrices, all of one shape, are linearly independent:
+    the rank of their entry vectors is their number."""
+    return not matrices or rank(ScalarMatrix(
+        [m.vector() for m in matrices], matrices[0].field)) == len(matrices)
 
 
 def solve_over_field(matrix: ScalarMatrix, rhs: Sequence) -> Optional[tuple]:

@@ -8,12 +8,14 @@ from typing import Optional
 from locspan import (
     QQ,
     LinearSubspace,
+    MatrixSubspace,
     PolyMatrix,
     Polynomial,
     PrimeField,
     ScalarMatrix,
     coordinate_vector,
     has_free_rank,
+    solve_over_field,
     span_over_field,
 )
 from locspan.cli import (
@@ -115,6 +117,19 @@ def vandermonde_y1(n, d, field=QQ):
     return LinearSubspace([y] + [tuple(y[0].scale(i ** (j - 1))
                                        for i in range(1, n + 1))
                                  for j in range(2, d + 1)])
+
+
+def reference_contains(subspace: MatrixSubspace, matrix: ScalarMatrix) -> bool:
+    """Whether ``matrix`` is in the span, by a solve: its entries as a
+    combination of columns that hold the entries of the basis matrices."""
+    def entries(m):
+        return [x for row in m.entries for x in row]
+
+    if not subspace.basis:
+        return not any(entries(matrix))
+    system = ScalarMatrix.from_columns(list(map(entries, subspace.basis)),
+                                       subspace.field)
+    return solve_over_field(system, entries(matrix)) is not None
 
 
 def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -512,6 +512,34 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ") and not out, report
 
 
+def test_verify_refuses_wrong_length_vectors_by_name(tmp_path, capsys):
+    # u, v and common_null are checked against n as they are parsed, before
+    # a trace, a span test or a matrix-vector product could refuse them
+    idem = ("field Fp 5\nn 2\nkind matrix-subspace\n"
+            "b1 = [[1, 0], [0, 0]]\nend\n")
+    uv = "malformed report: 'u' and 'v' must hold n entries"
+    null = "malformed report: 'common_null' must hold n entries"
+    cases = [
+        ({"command": "idempotent-search", "instance": idem,
+          "witness": {"u": ["1"], "v": ["1", "0"]}}, uv),
+        ({"command": "idempotent-search", "instance": idem,
+          "witness": {"u": ["1"], "v": ["1"]}}, uv),
+        ({"command": "idempotent-search", "instance": idem,
+          "witness": {"u": ["1", "0", "0"], "v": ["1", "0", "0"]}}, uv),
+        ({"command": "r1free", "instance": PERP_TEXT, "outcome": False,
+          "failure_witness": {"idempotent": {"u": ["1"] * 3,
+                                             "v": ["1"] * 3}}}, uv),
+        ({"command": "pencil", "instance": GOLDEN_TEXT,
+          "witness": {"matrices": [], "common_null": ["1"]}}, null),
+        ({"command": "pencil", "instance": GOLDEN_TEXT,
+          "witness": {"matrices": [], "common_null": ["1"] * 5}}, null),
+    ]
+    for report, message in cases:
+        code, out, err = _verify_file(capsys, tmp_path, report)
+        assert code == 2 and not out and message in err, report
+        assert "Traceback" not in err
+
+
 def test_verify_ties_the_stratum_to_the_minor(tmp_path, capsys):
     # y1 is the 1x1 minor on row 1 and the target column 4 of the family
     # (4, 3), which holds: at its true stratum 1 the checks fail, and no

@@ -30,7 +30,12 @@ from locspan import (
 
 from locspan.polymat import outer_product
 
-from support import random_subspace, subspace_containing_target, variables
+from support import (
+    random_subspace,
+    reference_contains,
+    subspace_containing_target,
+    variables,
+)
 
 
 def _unit_matrix(i, j, n, field=QQ):
@@ -344,3 +349,42 @@ def test_matrix_subspace_validation():
         MatrixSubspace([], n=None, field=None)
     empty = MatrixSubspace([], n=2, field=QQ)
     assert empty.dim == 0 and empty.codim == 4
+
+
+def test_contains_matches_a_column_solve():
+    rng = random.Random(59)
+    for field in (QQ, PrimeField(2), PrimeField(5)):
+        def random_matrix(n):
+            return ScalarMatrix([[rng.randint(-2, 2) for _ in range(n)]
+                                 for _ in range(n)], field)
+
+        members = outsiders = 0
+        for _ in range(20):
+            n = rng.randint(2, 3)
+            dim = rng.randint(1, n * n - 1)
+            while True:
+                try:
+                    subspace = MatrixSubspace(
+                        [random_matrix(n) for _ in range(dim)])
+                    break
+                except ValueError:  # a dependent draw
+                    continue
+            coeffs = [rng.randint(-2, 2) for _ in subspace.basis]
+            member = ScalarMatrix(
+                [[sum(c * b[i, j] for c, b in zip(coeffs, subspace.basis))
+                  for j in range(n)] for i in range(n)], field)
+            assert subspace.contains(member)
+            for m in (member, random_matrix(n), random_matrix(n)):
+                inside = subspace.contains(m)
+                assert inside == reference_contains(subspace, m)
+                members, outsiders = members + inside, outsiders + (not inside)
+        assert members and outsiders
+        empty = MatrixSubspace([], n=2, field=field)
+        zero = ScalarMatrix([[0, 0], [0, 0]], field)
+        assert empty.contains(zero) and reference_contains(empty, zero)
+        e21 = _unit_matrix(1, 0, 2, field)
+        assert not empty.contains(e21) and not reference_contains(empty, e21)
+        full = MatrixSubspace([_unit_matrix(i, j, 3, field)
+                               for i in range(3) for j in range(3)])
+        for m in (random_matrix(3) for _ in range(5)):
+            assert full.contains(m) and reference_contains(full, m)

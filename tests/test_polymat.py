@@ -749,3 +749,41 @@ def test_solutions_solve_the_system():
             for v in nullspace_over_field(a):
                 assert a.matvec(v) == tuple(field.zero for _ in range(rows))
             assert len(nullspace_over_field(a)) == cols - rank(a)
+
+
+def test_vector_reads_entries_row_by_row():
+    assert ScalarMatrix([[1, 2, 3], [4, 5, 6]], QQ).vector() == [1, 2, 3, 4, 5, 6]
+
+
+def test_independent_is_the_rank_of_stacked_entries():
+    # the oracle stacks each matrix column by column, a different order from
+    # vector(), and ranks the stack
+    def stacked_rank_is_full(matrices, field):
+        rows = [[m[i, j] for j in range(m.cols) for i in range(m.rows)]
+                for m in matrices]
+        return rank(ScalarMatrix(rows, field)) == len(matrices)
+
+    rng = random.Random(16)
+    for field in (QQ, PrimeField(2), PrimeField(5)):
+        def random_matrix(n):
+            return ScalarMatrix([[rng.randint(-2, 2) for _ in range(n)]
+                                 for _ in range(n)], field)
+
+        one = ScalarMatrix.identity(2, field)
+        zero = ScalarMatrix([[0, 0], [0, 0]], field)
+        assert polymat.independent([])
+        assert polymat.independent([one])
+        assert not polymat.independent([zero])
+        assert not polymat.independent([one, zero])
+        assert not polymat.independent([one, one])
+        outcomes = set()
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            count = rng.randint(0, n * n + 1)
+            matrices = [random_matrix(n) for _ in range(count)]
+            if matrices and rng.random() < 0.3:  # repeat one of them
+                matrices.append(rng.choice(matrices))
+            expected = stacked_rank_is_full(matrices, field)
+            assert polymat.independent(matrices) == expected, matrices
+            outcomes.add(expected)
+        assert outcomes == {True, False}
