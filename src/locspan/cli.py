@@ -369,21 +369,23 @@ class InstanceFile:
                 lines.append(f"{label} = [{body}]")
         else:
             for label, mat in zip(self.labels, self.matrices):
-                rows = ", ".join(
-                    "[" + ", ".join(self.field.format(x) for x in row) + "]"
-                    for row in mat.entries)
+                rows = ", ".join("[" + ", ".join(map(str, row)) + "]"
+                                 for row in mat.entries)
                 lines.append(f"{label} = [{rows}]")
         lines.append("end")
         return "\n".join(lines) + "\n"
 
-    def header(self) -> dict:
-        """Report keys field, n, d (codimension for matrices), instance and
-        digest, the SHA-256 of the same rendering of the instance."""
+    def shape(self) -> dict:
+        """Report keys field, n and d (codimension for matrices)."""
         count = len(self.labels)
         d = count if self.kind == "linear-subspace" else self.nvars ** 2 - count
+        return {"field": self.field_name(), "n": self.nvars, "d": d}
+
+    def header(self) -> dict:
+        """`shape` and the keys instance and digest, the SHA-256 of the same
+        rendering of the instance."""
         text = self.canonical_text()
-        return {"field": self.field_name(), "n": self.nvars, "d": d,
-                "instance": text, "digest": _sha256(text)}
+        return self.shape() | {"instance": text, "digest": _sha256(text)}
 
     def to_linear_subspace(self) -> LinearSubspace:
         if self.kind != "linear-subspace":
@@ -498,7 +500,7 @@ def parse_instance(text: str) -> InstanceFile:
 # Report plumbing.
 
 def _matrix_json(matrix: ScalarMatrix) -> list:
-    return [[matrix.field.format(x) for x in row] for row in matrix.entries]
+    return [[str(x) for x in row] for row in matrix.entries]
 
 
 def _witness_json(witness: CramerWitness) -> dict:
@@ -528,8 +530,8 @@ def _pencil_json(field: Field, matrices, null) -> dict:
                "common_null": None, "coefficients": None}
     if null is not None:
         inv_last = field.inv(null[-1])
-        witness["common_null"] = [field.format(x) for x in null]
-        witness["coefficients"] = [field.format(field.normalize(-x * inv_last))
+        witness["common_null"] = [str(x) for x in null]
+        witness["coefficients"] = [str(field.normalize(-x * inv_last))
                                    for x in null[:-1]]
     return witness
 
@@ -605,7 +607,7 @@ def _cmd_decide_span_f(instance: InstanceFile, args) -> tuple:
     coeffs = span_over_field(subspace)
     if coeffs is None:
         return False, None, None
-    return True, {"coefficients": [subspace.field.format(c) for c in coeffs]}, None
+    return True, {"coefficients": [str(c) for c in coeffs]}, None
 
 
 def _cmd_decide_span_l(instance: InstanceFile, args) -> tuple:
@@ -705,15 +707,25 @@ def _entry(payload, key: str, kind=list):
 
 
 def _indices(payload, key: str, bound: int) -> tuple:
-    """The 1-based indices in ``1..bound`` under ``key``, made 0-based."""
+    """The strictly increasing 1-based indices in ``1..bound`` under
+    ``key``, made 0-based, as every writer prints them."""
     values = _entry(payload, key)
-    if not all(type(i) is int and 1 <= i <= bound for i in values):
-        raise ValueError(f"malformed report: {key!r} must hold indices 1..{bound}")
+    if not (all(type(i) is int and 1 <= i <= bound for i in values)
+            and values == sorted(set(values))):
+        raise ValueError(f"malformed report: {key!r} must hold increasing "
+                         f"indices 1..{bound}")
     return tuple(i - 1 for i in values)
 
 
+def _scalar(text, field: Field):
+    """A report scalar: a string holding a constant of the instance grammar."""
+    if not isinstance(text, str):
+        raise ValueError(f"malformed report: scalar {text!r} is not a string")
+    return parse_polynomial(text, 0, field).constant_value()
+
+
 def _parse_vector(payload, key: str, field: Field) -> list:
-    return [field.parse(x) for x in _entry(payload, key)]
+    return [_scalar(x, field) for x in _entry(payload, key)]
 
 
 def _parse_matrices(payload, key: str, field: Field) -> list:
@@ -721,7 +733,7 @@ def _parse_matrices(payload, key: str, field: Field) -> list:
     if not all(isinstance(m, list) and all(isinstance(r, list) for r in m)
                for m in values):
         raise ValueError(f"malformed report: {key!r} must hold matrices")
-    return [ScalarMatrix([[field.parse(x) for x in row] for row in m], field)
+    return [ScalarMatrix([[_scalar(x, field) for x in row] for row in m], field)
             for m in values]
 
 
@@ -747,9 +759,8 @@ def _check_cramer(subspace: LinearSubspace, witness, checks: dict,
     if len(lambdas) != subspace.dim or not (m and all(dens)):
         raise ValueError("malformed report: bad 'lambdas' or 'm' in the witness")
     index_set = _indices(witness, "index_set", subspace.nvars)
-    if len(index_set) != subspace.dim or list(index_set) != sorted(set(index_set)):
-        raise ValueError("malformed report: 'index_set' must hold d increasing "
-                         "indices")
+    if len(index_set) != subspace.dim:
+        raise ValueError("malformed report: 'index_set' must hold d indices")
     cramer = CramerWitness(index_set, tuple(map(RationalFunction, nums, dens)), m)
     bounds = verify_witness_bounds(cramer, subspace) if with_bounds else None
     same = {key: _same(witness.get(key), value)
@@ -772,9 +783,9 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
         s = failure.get("stratum")
         rows = _indices(failure, "rows", subspace.nvars)
         cols = _indices(failure, "cols", subspace.dim + 1)
-        # s rows and s <= d + 1 columns, the target column d + 1 among them
+        # s rows and s columns, the target column d + 1 among them
         if (type(s) is not int or subspace.dim not in cols
-                or not len(rows) == s == len(cols) <= subspace.dim + 1):
+                or not len(rows) == s == len(cols)):
             raise ValueError("malformed report: 'stratum' must be the size of "
                              "a minor on the target column")
         reported = _parse_poly(failure, "minor", subspace)
@@ -826,6 +837,10 @@ def verify_report(report: dict) -> dict:
         raise ValueError("malformed report: 'digest' is not the SHA-256 of "
                          "the instance")
     instance = parse_instance(text)
+    for key, value in instance.shape().items():
+        if key in report and not _same(report[key], value):
+            raise ValueError(f"malformed report: {key!r} does not match "
+                             "the instance")
     witness, failure = report.get("witness"), report.get("failure_witness")
     checks: dict = {}
 

@@ -74,30 +74,13 @@ class Field:
     """Exact arithmetic on raw coefficient values.
 
     Values are plain Python numbers, so callers add and multiply them with
-    ``+ - *`` and bring the result into the field once with ``normalize``.
-    A subclass defines only what makes fields differ: ``zero``, ``one``,
-    ``characteristic``, ``normalize(value)`` and ``inv(a)``.  ``normalize``
-    has a fast path for the values arithmetic makes: over Q a `Fraction`
-    comes back unchanged, over F_p an int is reduced mod p.
+    ``+ - *``, bring the result into the field once with ``normalize`` and
+    print it with ``str``.  A subclass defines only what makes fields
+    differ: ``zero``, ``one``, ``characteristic``, ``normalize(value)`` and
+    ``inv(a)``.  ``normalize`` has a fast path for the values arithmetic
+    makes: over Q a `Fraction` comes back unchanged, over F_p an int is
+    reduced mod p.
     """
-
-    def is_negative(self, a) -> bool:
-        """Whether ``a`` prints with a leading minus sign."""
-        return False
-
-    def parse(self, text: str):
-        """Scalar from a string, an integer or ``num/den``; anything else,
-        a zero denominator included, is a `ValueError`."""
-        if not isinstance(text, str):
-            raise ValueError(f"scalar {text!r} is not a string")
-        num, slash, den = text.partition("/")
-        try:
-            return self.normalize(Fraction(int(num), int(den) if slash else 1))
-        except ZeroDivisionError:
-            raise ValueError(f"scalar {text!r} has a zero denominator") from None
-
-    def format(self, a) -> str:
-        return str(a)
 
 
 class RationalField(Field):
@@ -119,9 +102,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def is_negative(self, a) -> bool:
-        return a < 0
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -524,16 +504,16 @@ def format_polynomial(p: Polynomial) -> str:
     pieces = []
     for mono in sorted(p.terms, key=grevlex_key, reverse=True):
         coeff = p.terms[mono]
-        negative = field.is_negative(coeff)
-        magnitude = field.normalize(-coeff) if negative else coeff
+        negative = not field.characteristic and coeff < 0
+        magnitude = -coeff if negative else coeff
         factors = [f"y{i + 1}" + (f"^{e}" if e > 1 else "")
                    for i, e in enumerate(mono) if e]
         if not factors:
-            body = field.format(magnitude)
+            body = str(magnitude)
         elif magnitude == field.one:
             body = "*".join(factors)
         else:
-            body = field.format(magnitude) + "*" + "*".join(factors)
+            body = str(magnitude) + "*" + "*".join(factors)
         pieces.append((negative, body))
     first_neg, first_body = pieces[0]
     out = ("-" if first_neg else "") + first_body

@@ -98,8 +98,7 @@ class ScalarMatrix:
                 and self.cols == other.cols and self.entries == other.entries)
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.format(x) for x in row)
-                         for row in self.entries)
+        body = "; ".join(" ".join(map(str, row)) for row in self.entries)
         return f"ScalarMatrix[{body}]"
 
 

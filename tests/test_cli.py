@@ -3,10 +3,18 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-from locspan import QQ, PrimeField, local_only_example, fraction_span_only_example
+from locspan import (
+    QQ,
+    PrimeField,
+    fraction_span_only_example,
+    local_membership_closure,
+    local_membership_points,
+    local_only_example,
+)
 from locspan.cli import (
     MAX_DIMENSION,
     MAX_PARSE_DEPTH,
@@ -14,6 +22,8 @@ from locspan.cli import (
     InstanceFile,
     ParseError,
     _build_parser,
+    _failure_json,
+    _parse_vector,
     instance_from_matrix_subspace,
     instance_from_subspace,
     parse_instance,
@@ -439,6 +449,24 @@ def test_verify_bad_scalars_exit_2(tmp_path, capsys):
     assert verify_report(report) == {"combination_matches_target": True}
 
 
+def test_report_scalars_refuse_bad_text_with_value_error():
+    # a report scalar is a string holding a constant of the instance grammar,
+    # read in the ring of no variables
+    F5 = PrimeField(5)
+
+    def read(field, text):
+        return _parse_vector({"v": [text]}, "v", field)[0]
+
+    assert read(QQ, " -3/6 ") == Fraction(-1, 2)
+    assert read(F5, "1/2") == 3 and read(F5, "-7") == 3
+    assert read(QQ, "1+1") == 2  # as inside a report polynomial
+    for field, text in ((QQ, "1/0"), (F5, "1/5"), (F5, "2/10"), (QQ, 3),
+                        (QQ, None), (F5, [1]), (QQ, "x"), (QQ, "3/"),
+                        (QQ, "1/2/3"), (QQ, "y1"), (QQ, "")):
+        with pytest.raises(ValueError):
+            read(field, text)
+
+
 def test_verify_malformed_reports_exit_2(tmp_path, capsys):
     matrix = instance_from_matrix_subspace(
         perp(flat(local_only_example(4, 3)))).canonical_text()
@@ -448,6 +476,8 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
               "q1 = [y1, y2, y3]\nq2 = [0, 0, y1]\nend\n")
     counter_f5 = ("field Fp 5\nn 3\nkind linear-subspace\n"
                   "q1 = [y1, 0, y3]\nq2 = [0, y1, 0]\nend\n")
+    counter_q = ("field Q\nn 3\nkind linear-subspace\n"
+                 "q1 = [2*y1 + 1/3*y2, 0, -3*y3]\nq2 = [0, 5/2*y1, 0]\nend\n")
     malformed = [
         "x",
         [],
@@ -489,6 +519,16 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
         {"command": "decide-local", "instance": GOLDEN_TEXT,
          "failure_witness": {"method": "closure_radical", "stratum": 1,
                              "rows": [1], "cols": [4], "minor": 5}},
+        # its failure at rows [1, 2], cols [1, 3] with the minor negated and
+        # the rows, then the cols, in an order that no writer prints
+        {"command": "decide-local", "instance": counter_q,
+         "failure_witness": {"method": "closure_radical", "stratum": 2,
+                             "rows": [2, 1], "cols": [1, 3],
+                             "minor": "-2*y1*y2 - 1/3*y2^2"}},
+        {"command": "decide-local", "instance": counter_q,
+         "failure_witness": {"method": "closure_radical", "stratum": 2,
+                             "rows": [1, 2], "cols": [3, 1],
+                             "minor": "-2*y1*y2 - 1/3*y2^2"}},
         {"command": "decide-local", "instance": GOLDEN_TEXT,
          "failure_witness": {"method": "point_enumeration", "point": ["1"]}},
         {"command": "decide-local", "instance": counter_f5,
@@ -876,6 +916,24 @@ def test_verify_checks_the_cramer_index_set(capsys, monkeypatch, tmp_path):
         assert code == 2 and not out and "index_set" in err, index_set
 
 
+def test_verify_ties_the_header_to_the_instance(capsys, monkeypatch, tmp_path):
+    report = _report_for(capsys, monkeypatch, ["example", "--n", "4",
+                                               "--d", "3"], "")
+    report = _report_for(capsys, monkeypatch, ["decide-span-l"],
+                         report["witness"]["instance"])
+    assert all(verify_report(report).values())
+    for key, value in (("n", 99), ("d", 42), ("field", "Fp 7"), ("n", "4"),
+                       ("d", None)):
+        code, out, err = _verify_file(capsys, tmp_path, dict(report,
+                                                             **{key: value}))
+        assert code == 2 and not out and "Traceback" not in err
+        assert err == f"error: malformed report: {key!r} does not match " \
+                      "the instance\n", (key, value)
+    # a report without the keys is checked on its instance alone
+    bare = {k: v for k, v in report.items() if k not in ("field", "n", "d")}
+    assert all(verify_report(bare).values())
+
+
 def test_verify_ties_the_digest_to_the_instance(capsys, monkeypatch, tmp_path):
     text = instance_from_subspace(local_only_example(5, 4)).canonical_text()
     report = _report_for(capsys, monkeypatch, ["decide-span-l"], text)
@@ -1071,8 +1129,33 @@ def test_verify_of_an_example_needs_the_family_instance(capsys, monkeypatch):
         local_only_example(4, 3, PrimeField(5))).canonical_text()
     for text in (GOLDEN_TEXT, COUNTER_Q, PERP_TEXT, family_f5):
         forged = dict(report, instance=text, digest=None)
+        with pytest.raises(ValueError, match="does not match the instance"):
+            verify_report(forged)  # the header is still that of (5, 4)
+        forged.update(parse_instance(text).header())
         assert verify_report(forged) == {
             "outcome_matches": text == GOLDEN_TEXT}, text
+
+
+def test_verify_confirms_a_holding_prime_field_report_at_rational_points():
+    # over F_2 the closure and the points disagree: the closure's failing
+    # minor is not in the radical, yet vanishes at every F_2 point.  A
+    # holding report names no method, so verify re-derives it by points, and
+    # the closure report edited to hold with no failure passes
+    text = ("field Fp 2\nn 4\nkind linear-subspace\n"
+            "q1 = [y1 + y4, y3 + y4, y2 + y4, y1 + y3]\n"
+            "q2 = [y3, y2, y3, y1 + y3 + y4]\n"
+            "q3 = [y4, y1, y2 + y3 + y4, y2]\nend\n")
+    subspace = parse_instance(text).to_linear_subspace()
+    closure = local_membership_closure(subspace)
+    assert not closure.holds and local_membership_points(subspace).holds
+    failure = closure.failure_witness
+    assert (failure.stratum, failure.rows, failure.cols) == (3, (0, 1, 2),
+                                                             (0, 1, 3))
+    report = verify_report({"command": "decide-local", "instance": text,
+                            "failure_witness": _failure_json(failure)})
+    assert report == {"minor_matches": True, "minor_outside_radical": True}
+    assert verify_report({"command": "decide-local", "instance": text,
+                          "outcome": True}) == {"outcome_matches": True}
 
 
 def test_verify_rejects_tampered_witness(capsys, monkeypatch):
