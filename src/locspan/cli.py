@@ -99,7 +99,8 @@ class ParseError(ValueError):
 
 #: The parser's work budget: a product or power whose result would exceed this
 #: degree or term count, or (powers only) coefficient bits, is a `ParseError`
-#: at its operator, and so is nesting past this depth.  A literal, or a
+#: at its operator, a sum whose terms pass the term count is one at the ``+``
+#: or ``-`` that passes it, and so is nesting past this depth.  A literal, or a
 #: coefficient that a sum, product or power makes, is refused there past
 #: `MAX_PARSE_DIGITS` digits, Python's default int-to-text limit.  An ambient
 #: dimension n past `MAX_DIMENSION` (an ``n`` line, ``example --n``) is
@@ -218,7 +219,8 @@ class _ExprParser:
         return total
 
     def add_into(self, total: dict, op: int, terms: dict) -> dict:
-        """Add ``terms`` into ``total``, negated if token ``op`` is ``-``."""
+        """Add ``terms`` into ``total``, negated if token ``op`` is ``-``;
+        a sum of more than `MAX_PARSE_TERMS` terms is refused at ``op``."""
         norm = self.field.normalize
         if self.tokens[op] == "-":
             terms = {m: norm(-c) for m, c in terms.items()}
@@ -230,6 +232,8 @@ class _ExprParser:
                     del total[m]
                     continue
             total[m] = c
+        if len(total) > MAX_PARSE_TERMS:
+            raise self.error("sum exceeds the parser budget", op)
         return total
 
     def check_budget(self, index, degree, terms, bits=0) -> None:
@@ -717,15 +721,25 @@ def _indices(payload, key: str, bound: int) -> tuple:
     return tuple(i - 1 for i in values)
 
 
-def _scalar(text, field: Field):
-    """A report scalar: a string holding a constant of the instance grammar."""
+def _grammar_value(key: str, text: str, nvars: int, field: Field) -> Polynomial:
+    """``text`` read by the instance grammar; a refusal names ``key``."""
+    try:
+        return parse_polynomial(text, nvars, field)
+    except ParseError as exc:
+        raise ValueError(f"malformed report: {key!r} at col {exc.col}: "
+                         f"{exc}") from None
+
+
+def _scalar(text, key: str, field: Field):
+    """A report scalar under ``key``: a string holding a constant of the
+    instance grammar."""
     if not isinstance(text, str):
-        raise ValueError(f"malformed report: scalar {text!r} is not a string")
-    return parse_polynomial(text, 0, field).constant_value()
+        raise ValueError(f"malformed report: {key!r} must hold strings")
+    return _grammar_value(key, text, 0, field).constant_value()
 
 
 def _parse_vector(payload, key: str, field: Field) -> list:
-    return [_scalar(x, field) for x in _entry(payload, key)]
+    return [_scalar(x, key, field) for x in _entry(payload, key)]
 
 
 def _parse_matrices(payload, key: str, field: Field) -> list:
@@ -733,13 +747,13 @@ def _parse_matrices(payload, key: str, field: Field) -> list:
     if not all(isinstance(m, list) and all(isinstance(r, list) for r in m)
                for m in values):
         raise ValueError(f"malformed report: {key!r} must hold matrices")
-    return [ScalarMatrix([[_scalar(x, field) for x in row] for row in m], field)
-            for m in values]
+    return [ScalarMatrix([[_scalar(x, key, field) for x in row] for row in m],
+                         field) for m in values]
 
 
 def _parse_poly(payload, key: str, subspace: LinearSubspace) -> Polynomial:
-    return parse_polynomial(_entry(payload, key, str), subspace.nvars,
-                            subspace.field)
+    return _grammar_value(key, _entry(payload, key, str), subspace.nvars,
+                          subspace.field)
 
 
 def _same(reported, value) -> bool:
@@ -791,8 +805,10 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
         reported = _parse_poly(failure, "minor", subspace)
         actual = subspace.augmented_matrix().submatrix(rows, cols).det()
         checks["minor_matches"] = actual == reported
-        checks["minor_outside_radical"] = not radical_membership(
-            actual, stratum_ideal(subspace, s))
+        # at stratum d the pencil point refutes most minors with no basis
+        checks["minor_outside_radical"] = (
+            s == subspace.dim and subspace.refutes_at_point(actual)
+            or not radical_membership(actual, stratum_ideal(subspace, s)))
     else:
         point = _parse_vector(failure, "point", subspace.field)
         ranks = ranks_at(subspace, point)

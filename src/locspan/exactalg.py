@@ -837,6 +837,58 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     return monic(exact_div(a * b, poly_gcd(a, b)))
 
 
+# Dense univariate polynomials with int coefficients, as used by the point of
+# `localmem`: a list in *ascending* degree with no trailing zero, so the zero
+# polynomial is ``[]``.  With ``p`` nonzero coefficients are taken mod p;
+# with ``p == 0`` they are integers, and `upoly_divmod` serves only exact
+# division.
+
+def upoly_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def upoly_mul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return upoly_trim([c % p for c in out] if p else out)
+
+
+def upoly_sub(a: list, b: list, p: int) -> list:
+    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
+    return upoly_trim([c % p for c in out] if p else out)
+
+
+def upoly_divmod(a: list, b: list, p: int) -> tuple:
+    """``(q, r)`` with ``a = q*b + r`` and deg r < deg b, for nonzero b;
+    over Z (``p == 0``) only when b divides every leading coefficient on
+    the way, as in an exact division."""
+    db, lead = len(b) - 1, b[-1]
+    inv = pow(lead, -1, p) if p else None
+    r, q = list(a), [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % p if p else r[k + db] // lead
+        if c:
+            q[k] = c
+            for j, y in enumerate(b, k):
+                r[j] = (r[j] - c * y) % p if p else r[j] - c * y
+    return upoly_trim(q), upoly_trim(r[:db])
+
+
+def upoly_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over F_p."""
+    while b:
+        a, b = b, upoly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Quotient of polynomials; build reduced values via `reduce_fraction`."""

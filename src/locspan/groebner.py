@@ -9,7 +9,8 @@ insertion, so every S-pair is the one a scan over all pairs would pick.
 `buchberger` reduces packed int forms with `exactalg.reduce_packed`, so a
 wrapper set on ``groebner.normal_form`` (re-exported and looked up here)
 sees the membership tests only.  Radical membership adjoins a fresh last
-variable ``t`` and tests whether 1 lies in ``I + <1 - t*f>``.
+variable ``t`` and tests whether 1 lies in ``I + <1 - t*f>``, unless a
+caller's refuter has proved f outside the radical first.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .exactalg import (
     Field,
@@ -176,12 +177,16 @@ class Ideal:
         return f"Ideal<{inside}>"
 
 
-def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
+def radical_membership(f: Polynomial, ideal: Ideal,
+                       refuter: Optional[Callable] = None) -> bool:
     """Whether some power of ``f`` lies in the ideal.
 
-    Decided by adjoining a fresh last variable ``t`` and testing whether 1
-    lies in ``I + <1 - t*f>``; membership of ``f`` or ``f^2`` is checked
-    first as a fast path.
+    Membership of ``f`` or ``f^2`` is checked first as a fast path.  Then
+    ``refuter(f)``, when given, may prove f outside the radical by returning
+    True (as at a point of the ideal's zero set where f is nonzero, see
+    `localmem.LinearSubspace.pencil_point`).  Otherwise a fresh last
+    variable ``t`` is adjoined, and f lies in the radical exactly when 1
+    lies in ``I + <1 - t*f>``.
     """
     if f.is_zero():
         return True
@@ -192,6 +197,8 @@ def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
         return True
     if gb.contains(f * f):
         return True
+    if refuter is not None and refuter(f):
+        return False
     ext = f.nvars + 1
     t = Polynomial.variable(f.nvars, ext, f.field)
     one = Polynomial.one(ext, f.field)

@@ -7,16 +7,19 @@ rational-function coefficients (producing a Cramer witness with reduced
 fractions), and "locally": whether at every point of affine space over the
 algebraic closure the evaluated coordinate vector lies in the evaluated
 span.  The local decision is exact, via radical membership of augmented
-minors in the determinantal ideals of the basis matrix; a finite-field
-point-enumeration variant serves as an independent check at rational
-points.
+minors in the determinantal ideals of the basis matrix, with a rank test
+that settles low strata and a point that refutes failing minors of the top
+stratum; a finite-field point-enumeration variant serves as an independent
+check at rational points.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
+from math import comb, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -31,6 +34,11 @@ from .exactalg import (
     poly_lcm,
     reduce_fraction,
     try_exact_div,
+    upoly_divmod,
+    upoly_gcd,
+    upoly_mul,
+    upoly_sub,
+    upoly_trim,
 )
 from .groebner import Ideal, radical_membership
 from .polymat import (
@@ -49,6 +57,13 @@ class BudgetExceededError(RuntimeError):
 
 #: Default cap on the number of points a finite-field enumeration may visit.
 DEFAULT_POINT_BUDGET = 1_000_000
+
+#: The prime modulo which the closure's shortcuts check a Q instance: the
+#: rank of a stratum's minors and the value of a minor at the pencil point.
+#: A rank can only drop mod p and a value only vanish, so a full rank or a
+#: nonzero value mod p proves the same over Q.
+CHECK_PRIME = 2 ** 31 - 1
+_CHECK_FIELD = PrimeField(CHECK_PRIME)
 
 
 def _is_linear_form(p: Polynomial) -> bool:
@@ -144,9 +159,133 @@ class LinearSubspace:
             for i in range(n))
         return width, table
 
+    @cached_property
+    def pencil_point(self) -> Optional["PencilPoint"]:
+        """A point where the basis matrix drops rank, over F_p[x]/(h).
+
+        Take the pencil M(x) = x Q_1 + sum_{j >= 2} (j - 1) Q_j of the
+        coefficient matrices, g = det M and h = g / gcd(g, g'), which is
+        squarefree with roots among those of g.  For v = adj M u, u the
+        all-ones vector, M v = g u, so at a root a of h the vector v(a) is
+        in the kernel of M(a): sum_j c_j q_j(v(a)) = 0 for c = (a, 1, 2,
+        ...) != 0, and rank B(v(a)) < d.  A polynomial f with f(v) != 0
+        mod h is nonzero at such a point, so it lies outside the radical of
+        I_d; no inverse mod h is needed.
+
+        Over F_p everything is computed in F_p.  Over Q, g and v come from
+        M cleared of denominators over Z, and h and f(v) mod h are taken
+        mod p = `CHECK_PRIME`, which must not divide lc(g): if f(v)
+        vanished at every root of g, g would divide f(v)^n with a quotient
+        integral at p, so every root of g mod p would be one of f(v) mod p,
+        and h, squarefree, would divide f(v) mod p.  None when d = 1
+        (c = (a) may be 0), g = 0, p divides lc(g), h is constant or
+        v = 0 mod h.
+        """
+        n, d, p = self.nvars, self.dim, self.field.characteristic
+        if d < 2:
+            return None
+        first, *rest = self.coeff_matrices
+        pencil = [[(sum(r * b.entries[i][k] for r, b in enumerate(rest, 1)),
+                    first.entries[i][k]) for k in range(n)] for i in range(n)]
+        scale = 1 if p else lcm(*(c.denominator for row in pencil
+                                   for pair in row for c in pair))
+        kernel = _det_and_adjugate_sum(
+            [[upoly_trim([int(c * scale) % p if p else int(c * scale)
+                          for c in pair]) for pair in row] for row in pencil], p)
+        q = p or CHECK_PRIME
+        if kernel is None or kernel[0][-1] % q == 0:
+            return None
+        inv = pow(kernel[0][-1], -1, q)
+        g = [c * inv % q for c in kernel[0]]  # monic, and so is h
+        derivative = upoly_trim([k * c % q for k, c in enumerate(g)][1:])
+        h = upoly_divmod(g, upoly_gcd(g, derivative, q), q)[0]
+        if len(h) < 2:
+            return None
+        v = [upoly_divmod([c % q for c in comp], h, q)[1] for comp in kernel[1]]
+        return PencilPoint(q, h, v) if any(v) else None
+
+    def refutes_at_point(self, f: Polynomial) -> bool:
+        """Whether ``f`` is nonzero at `pencil_point`, built on first use,
+        which proves that f lies outside the radical of I_d."""
+        point = self.pencil_point
+        return point is not None and point.refutes(f)
+
     def __repr__(self):
         return (f"LinearSubspace(n={self.nvars}, d={self.dim}, "
                 f"field={self.field!r})")
+
+
+def _residue(c, p: int):
+    """A field value mod ``p``: over F_p it is one already; over Q, None
+    when p divides its denominator."""
+    if type(c) is not Fraction:
+        return c
+    return None if c.denominator % p == 0 else \
+        c.numerator * pow(c.denominator, -1, p) % p
+
+
+def _det_and_adjugate_sum(rows: list, p: int) -> Optional[tuple]:
+    """``(g, v)`` for a square matrix M of `upoly_mul` lists over Z (``p``
+    0) or F_p: g = +-det M and v = +-adj(M) u for the all-ones vector u,
+    the sum of the adjugate's columns, one sign for both; None when the det
+    is 0.  Where M(a) has corank 1, adj M(a) = k w^T for kernel vectors k
+    of M(a) and w of its transpose, so v(a) = (w . u) k vanishes only when
+    w is orthogonal to u.  One column e_i of adj M would vanish wherever
+    w_i = 0, as at all roots but one of a diagonal M.
+
+    Fraction-free Gauss-Jordan elimination on ``[M | u]``: after pivot k
+    every entry is a minor of that matrix (Bareiss), so the division by the
+    previous pivot is exact, and at the end the left block is g I and the
+    last column g M^-1 u for the row-permuted M, whose u is the same.
+    """
+    n = len(rows)
+    a = [row + [[1]] for row in rows]
+    prev = [1]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k]
+        for i, row in enumerate(a):
+            if i == k:
+                continue
+            for j in range(k + 1, n + 1):
+                num = upoly_sub(upoly_mul(top[k], row[j], p),
+                                upoly_mul(row[k], top[j], p), p)
+                row[j] = upoly_divmod(num, prev, p)[0] if k else num
+        prev = top[k]
+    return prev, [row[n] for row in a]
+
+
+class PencilPoint:
+    """The point of `LinearSubspace.pencil_point`: ``h`` monic and
+    squarefree mod ``p``, and ``v`` its n coordinates, residues mod h."""
+
+    def __init__(self, p: int, h: list, v: list):
+        self.p, self.h, self.v = p, h, v
+        self._monomials = {(0,) * len(v): [1]}
+
+    def _monomial(self, mono: tuple) -> list:
+        """``v^mono`` mod h, each from one of lower degree, found once."""
+        value = self._monomials.get(mono)
+        if value is None:
+            i = next(i for i, e in enumerate(mono) if e)
+            lower = self._monomial(mono[:i] + (mono[i] - 1,) + mono[i + 1:])
+            value = self._monomials[mono] = upoly_divmod(
+                upoly_mul(lower, self.v[i], self.p), self.h, self.p)[1]
+        return value
+
+    def refutes(self, f: Polynomial) -> bool:
+        """Whether f(v) != 0 mod h; False when p divides a denominator."""
+        p, total = self.p, [0] * (len(self.h) - 1)
+        for mono, c in f.terms.items():
+            c = _residue(c, p)
+            if c is None:
+                return False
+            for k, x in enumerate(self._monomial(mono)):
+                total[k] += c * x
+        return any(x % p for x in total)
 
 
 @dataclass(frozen=True)
@@ -338,6 +477,33 @@ def stratum_ideal(subspace: LinearSubspace, s: int) -> Ideal:
                  field=subspace.field)
 
 
+def spans_all_monomials(ideal: Ideal, s: int) -> bool:
+    """Whether the generators, forms of degree ``s``, span all C(n+s-1, s)
+    monomials of degree s, so that every form of degree s lies in the ideal.
+
+    False at once when fewer distinct generators than monomials exist.
+    Over Q the rank is taken mod `CHECK_PRIME`, where it can only be lower,
+    and the test says False when p divides a denominator.
+    """
+    count = comb(ideal.nvars + s - 1, s)
+    generators = set(ideal.generators)
+    if len(generators) < count:
+        return False
+    field = ideal.field if ideal.field.characteristic else _CHECK_FIELD
+    p, columns, sparse = field.characteristic, {}, []
+    for g in generators:
+        row = {}
+        for mono, c in g.terms.items():
+            row[columns.setdefault(mono, len(columns))] = c = _residue(c, p)
+            if c is None:
+                return False
+        sparse.append(row)
+    if len(columns) < count:
+        return False
+    rows = [[row.get(k, 0) for k in range(count)] for row in sparse]
+    return len(_rref(rows, field)) == count
+
+
 def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
     """Ranks of the basis matrix and of the augmented matrix at ``point``,
     from one elimination: pivots come left to right, so the basis rank is
@@ -377,6 +543,14 @@ def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     s x s basis minors (the stratum ``s = d + 1`` has the zero ideal, so
     those minors must vanish identically).  The first failing minor in the
     fixed enumeration order is reported.
+
+    Two shortcuts leave every verdict as it is.  A stratum s < d whose basis
+    minors span all monomials of degree s holds with no basis
+    (`spans_all_monomials`): every target minor is a form of degree s.  At
+    s = d a minor that misses the fast paths of `radical_membership` is
+    refuted at `LinearSubspace.pencil_point` when it is nonzero there,
+    before any Rabinowitsch basis.  Every minor is still built, holding
+    strata included, one `det()` each.
     """
     n, d = subspace.nvars, subspace.dim
     if d >= n:
@@ -384,10 +558,14 @@ def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     augmented = subspace.augmented_matrix()
     for s in range(1, d + 2):
         minor_ideal = stratum_ideal(subspace, s)
-        for rows, cols, minor in augmented.minors(s):
+        minors = augmented.minors(s)
+        if s < d and spans_all_monomials(minor_ideal, s):
+            continue
+        refuter = subspace.refutes_at_point if s == d else None
+        for rows, cols, minor in minors:
             if d not in cols:
                 continue  # only minors that involve the target column
-            if not radical_membership(minor, minor_ideal):
+            if not radical_membership(minor, minor_ideal, refuter):
                 return LocalDecision(
                     holds=False, method="closure_radical",
                     failure_witness=MinorFailure(s, rows, cols, minor))

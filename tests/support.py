@@ -287,9 +287,12 @@ class _ReferenceExprParser:
         else:
             value = self.parse_term()
         while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.next()[1]
+            op = self.next()
             term = self.parse_term()
-            value = value + term if op == "+" else value - term
+            value = value + term if op[1] == "+" else value - term
+            if len(value.terms) > MAX_PARSE_TERMS:
+                raise ParseError("sum exceeds the parser budget", self.line,
+                                 op[2])
         return value
 
     def parse_list(self, parse_item) -> list:

@@ -19,6 +19,7 @@ from locspan.cli import (
     MAX_DIMENSION,
     MAX_PARSE_DEPTH,
     MAX_PARSE_DIGITS,
+    MAX_PARSE_TERMS,
     InstanceFile,
     ParseError,
     _build_parser,
@@ -31,9 +32,10 @@ from locspan.cli import (
     run_command,
     verify_report,
 )
+from locspan import groebner
 from locspan.matspace import flat, perp
 
-from support import vandermonde_y1
+from support import random_subspace, vandermonde_y1
 
 GOLDEN_TEXT = """\
 # the standard n=4, d=3 instance
@@ -550,6 +552,52 @@ def test_verify_malformed_reports_exit_2(tmp_path, capsys):
     for report in malformed:
         code, out, err = _verify_file(capsys, tmp_path, report)
         assert code == 2 and err.startswith("error: ") and not out, report
+    # a value that the instance grammar refuses names its key and column
+    lambdas = [{"num": "1", "den": "1"}] * 3
+    named = [
+        ({"command": "decide-span-f", "instance": SPAN_F_TEXT,
+          "witness": {"coefficients": ["1/0", "0"]}},
+         "'coefficients' at col 3: denominator 0 is zero in QQ"),
+        ({"command": "decide-span-f", "instance": SPAN_F_TEXT,
+          "witness": {"coefficients": [1, "0"]}},
+         "'coefficients' must hold strings"),
+        ({"command": "decide-span-l", "instance": GOLDEN_TEXT,
+          "witness": {"index_set": [1, 3, 4], "m": "1",
+                      "lambdas": [{"num": "y1 +", "den": "1"}] * 3}},
+         "'num' at col 4: unexpected end of line"),
+        ({"command": "decide-span-l", "instance": GOLDEN_TEXT,
+          "witness": {"index_set": [1, 3, 4], "m": "1",
+                      "lambdas": [{"num": "1", "den": "y9"}] * 3}},
+         "'den' at col 1: variable y9 out of range for n = 4"),
+        ({"command": "witness-bounds", "instance": GOLDEN_TEXT,
+          "witness": {"index_set": [1, 3, 4], "m": "2 y1",
+                      "lambdas": lambdas}},
+         "'m' at col 3: trailing input 'y1'"),
+        ({"command": "decide-local", "instance": GOLDEN_TEXT,
+          "failure_witness": {"method": "closure_radical", "stratum": 1,
+                              "rows": [1], "cols": [4], "minor": "y1 $"}},
+         "'minor' at col 4: unexpected character '$'"),
+        ({"command": "decide-local", "instance": counter_f5,
+          "failure_witness": {"method": "point_enumeration",
+                              "point": ["1/5", "1", "0"]}},
+         "'point' at col 3: denominator 5 is zero in GF(5)"),
+        ({"command": "idempotent-search", "instance": idem,
+          "witness": {"u": ["y1", "0"], "v": ["1", "0"]}},
+         "'u' at col 1: variable y1 out of range for n = 0"),
+        ({"command": "pencil", "instance": GOLDEN_TEXT,
+          "witness": {"matrices": [[["1/0"]]]}},
+         "'matrices' at col 3: denominator 0 is zero in QQ"),
+        ({"command": "pencil", "instance": GOLDEN_TEXT,
+          "witness": {"matrices": [], "common_null": ["1", "(", "0", "0"]}},
+         "'common_null' at col 1: unexpected end of line"),
+        ({"command": "perp", "instance": matrix,
+          "witness": {"basis": [[["1", "0"], ["0", "1/0"]]], "dim": 1}},
+         "'basis' at col 3: denominator 0 is zero in QQ"),
+    ]
+    for report, message in named:
+        code, out, err = _verify_file(capsys, tmp_path, report)
+        assert code == 2 and not out, report
+        assert err == f"error: malformed report: {message}\n", report
 
 
 def test_verify_refuses_wrong_length_vectors_by_name(tmp_path, capsys):
@@ -578,6 +626,24 @@ def test_verify_refuses_wrong_length_vectors_by_name(tmp_path, capsys):
         code, out, err = _verify_file(capsys, tmp_path, report)
         assert code == 2 and not out and message in err, report
         assert "Traceback" not in err
+
+
+def test_verify_refutes_a_stratum_d_minor_with_no_basis(capsys, monkeypatch):
+    # the first failing minor of this random Q closure is at stratum d and
+    # nonzero at the pencil point, so verify proves it outside the radical
+    # without a Groebner basis, Rabinowitsch or not
+    text = instance_from_subspace(
+        random_subspace(random.Random(1), 6, 3)).canonical_text()
+    report = _report_for(capsys, monkeypatch,
+                         ["decide-local", "--method", "closure"], text)
+    assert report["failure_witness"]["stratum"] == 3
+
+    def refuse(*args):
+        raise AssertionError("verify computed a Groebner basis")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    assert verify_report(report) == {"minor_matches": True,
+                                     "minor_outside_radical": True}
 
 
 def test_verify_ties_the_stratum_to_the_minor(tmp_path, capsys):
@@ -760,6 +826,38 @@ def test_parser_budget_refuses_expansions_before_they_run(tmp_path, capsys):
     code, out, err = _run(capsys, ["decide-span-f", "--input", path])
     assert code == 2 and not out
     assert f"line 4, col {line.index('^') + 1}" in err
+
+
+def test_parser_budget_refuses_long_sums(tmp_path, capsys):
+    # all 58905 monomials of degree at most 32 in 4 variables, which took
+    # 2.1 s to parse into one polynomial before sums had a budget: the sum
+    # is refused at the + of term MAX_PARSE_TERMS + 1, the map it adds
+    # into never past MAX_PARSE_TERMS + 1 terms
+    terms = [_monomial((a, b, c, e)) for a in range(33)
+             for b in range(33 - a) for c in range(33 - a - b)
+             for e in range(33 - a - b - c)]
+    assert len(terms) == 58905
+    line = f"q1 = [{' + '.join(terms)}, y2, y3, y4]"
+    col = len("q1 = [" + " + ".join(terms[:MAX_PARSE_TERMS])) + 2
+    assert line[col - 1] == "+"
+    path = _write_instance(
+        tmp_path, f"field Q\nn 4\nkind linear-subspace\n{line}\nend\n")
+    code, out, err = _run(capsys, ["decide-span-f", "--input", path])
+    assert code == 2 and not out
+    assert err == f"error: line 4, col {col}: sum exceeds the parser budget\n"
+    # a sum of MAX_PARSE_TERMS terms is accepted, also after one that cancels
+    at_budget = " + ".join(terms[:MAX_PARSE_TERMS])
+    assert len(parse_polynomial(at_budget, 4, QQ).terms) == MAX_PARSE_TERMS
+    assert parse_polynomial(f"{at_budget} - ({at_budget}) + y1", 4, QQ) \
+        == parse_polynomial("y1", 4, QQ)
+    with pytest.raises(ParseError, match="sum exceeds") as info:
+        parse_polynomial(f"{at_budget} + y1^32", 4, QQ, line=3)
+    assert (info.value.line, info.value.col) == (3, len(at_budget) + 2)
+
+
+def _monomial(exponents):
+    return "*".join(f"y{i + 1}^{e}" for i, e in enumerate(exponents)
+                    if e) or "1"
 
 
 def test_coefficients_are_bounded_where_they_are_made(tmp_path, capsys):

@@ -19,6 +19,7 @@ from locspan.cli import (
     MAX_PARSE_DEGREE,
     MAX_PARSE_DEPTH,
     MAX_PARSE_DIGITS,
+    MAX_PARSE_TERMS,
     parse_instance,
     parse_polynomial,
 )
@@ -188,20 +189,27 @@ def _monomial(exponents):
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp 5"])
 def test_a_constant_factor_keeps_the_term_budget(field_name):
-    # every monomial of degree at most 13 in 4 variables: 2380 terms, each
-    # inside the budget, whose sum times a constant is over it
+    # every monomial of degree at most 13 in 4 variables: 2380 terms.  The
+    # first MAX_PARSE_TERMS of them make a sum at the budget, which a
+    # constant factor keeps there; the whole sum is refused at the + that
+    # passes the budget, before any factor, even one that is zero
     monomials = [m for m in product(range(14), repeat=4) if sum(m) <= 13]
     assert len(monomials) == 2380
-    total = "(" + " + ".join(map(_monomial, monomials)) + ")"
-    for expr, star in ((f"{total}*2", len(total)), (f"2*{total}", 1)):
+    names = list(map(_monomial, monomials))
+    at_budget = "(" + " + ".join(names[:MAX_PARSE_TERMS]) + ")"
+    for expr in (f"{at_budget}*2", f"2*{at_budget}"):
+        line = f"q1 = [{expr}*(2 - 2) + y1, y2, y3, y4]"
+        assert _alike(_line_instance(field_name, 4, line))[0] == "ok"
+    total = "(" + " + ".join(names) + ")"
+    plus = len("q1 = [(") + len(" + ".join(names[:MAX_PARSE_TERMS + 1])) \
+        - len(names[MAX_PARSE_TERMS]) - 1
+    for expr in (f"{total}*2", f"2*{total}", f"{total}*(2 - 2) + y1"):
         line = f"q1 = [{expr}, y2, y3, y4]"
+        col = plus + 2 * expr.startswith("2*")
+        assert line[col - 1] == "+"
         outcome = _alike(_line_instance(field_name, 4, line))
-        col = len("q1 = [") + star + 1
-        assert outcome == ("ParseError", f"line 4, col {col}: expansion "
-                                         "exceeds the parser budget")
-    # a zero factor has no terms and keeps the product inside it
-    line = f"q1 = [{total}*(2 - 2) + y1, y2, y3, y4]"
-    assert _alike(_line_instance(field_name, 4, line))[0] == "ok"
+        assert outcome == ("ParseError", f"line 4, col {col}: sum exceeds "
+                                         "the parser budget")
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp 5"])
