@@ -64,6 +64,7 @@ from .localmem import (
     local_membership_closure,
     local_membership_points,
     local_only_example,
+    low_stratum_holds,
     pencil_coefficients,
     ranks_at,
     span_over_field,
@@ -805,10 +806,14 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
         reported = _parse_poly(failure, "minor", subspace)
         actual = subspace.augmented_matrix().submatrix(rows, cols).det()
         checks["minor_matches"] = actual == reported
-        # at stratum d the pencil point refutes most minors with no basis
-        checks["minor_outside_radical"] = (
-            s == subspace.dim and subspace.refutes_at_point(actual)
-            or not radical_membership(actual, stratum_ideal(subspace, s)))
+        # the closure's proofs come first: at stratum d the pencil point
+        # refutes most minors, and a stratum below d may hold with no basis
+        if s == subspace.dim and subspace.refutes_at_point(actual):
+            checks["minor_outside_radical"] = True
+        else:
+            ideal = stratum_ideal(subspace, s)
+            checks["minor_outside_radical"] = not low_stratum_holds(
+                subspace, s, ideal) and not radical_membership(actual, ideal)
     else:
         point = _parse_vector(failure, "point", subspace.field)
         ranks = ranks_at(subspace, point)

@@ -7,10 +7,12 @@ rational-function coefficients (producing a Cramer witness with reduced
 fractions), and "locally": whether at every point of affine space over the
 algebraic closure the evaluated coordinate vector lies in the evaluated
 span.  The local decision is exact, via radical membership of augmented
-minors in the determinantal ideals of the basis matrix, with a rank test
-that settles low strata and a point that refutes failing minors of the top
-stratum; a finite-field point-enumeration variant serves as an independent
-check at rational points.
+minors in the determinantal ideals of the basis matrix.  Proofs that need
+no basis over Q come first: a rank test or an m-primary test mod p settles
+low strata, and a point refutes failing minors of the top stratum, the
+first of them before that stratum's basis is built.  A finite-field
+point-enumeration variant serves as an independent check at rational
+points.
 """
 
 from __future__ import annotations
@@ -160,6 +162,29 @@ class LinearSubspace:
         return width, table
 
     @cached_property
+    def _integer_coefficients(self) -> tuple:
+        """The coefficient matrices as lists of int rows: over Q each times
+        the lcm of the denominators of all entries, which keeps every rank
+        and kernel over Q; over F_p as they are."""
+        entries = [b.entries for b in self.coeff_matrices]
+        if self.field.characteristic:
+            return tuple(entries)
+        scale = lcm(*(c.denominator for b in entries for row in b for c in row))
+        return tuple([[c.numerator * (scale // c.denominator) for c in row]
+                      for row in b] for b in entries)
+
+    @cached_property
+    def least_unit_rank(self) -> int:
+        """The least rank of the basis matrix at a coordinate vector e_j,
+        whose column k is column j of Q_k.  Over Q the ranks are taken mod
+        `CHECK_PRIME`, where they can only be lower."""
+        n, p = self.nvars, self.field.characteristic
+        field = self.field if p else _CHECK_FIELD
+        matrices = self._integer_coefficients
+        return min(len(_rref([[b[i][j] % field.p for b in matrices]
+                              for i in range(n)], field)) for j in range(n))
+
+    @cached_property
     def pencil_point(self) -> Optional["PencilPoint"]:
         """A point where the basis matrix drops rank, over F_p[x]/(h).
 
@@ -173,25 +198,26 @@ class LinearSubspace:
         I_d; no inverse mod h is needed.
 
         Over F_p everything is computed in F_p.  Over Q, g and v come from
-        M cleared of denominators over Z, and h and f(v) mod h are taken
-        mod p = `CHECK_PRIME`, which must not divide lc(g): if f(v)
-        vanished at every root of g, g would divide f(v)^n with a quotient
-        integral at p, so every root of g mod p would be one of f(v) mod p,
-        and h, squarefree, would divide f(v) mod p.  None when d = 1
-        (c = (a) may be 0), g = 0, p divides lc(g), h is constant or
-        v = 0 mod h.
+        M over Z, formed from the coefficient matrices cleared of
+        denominators by one common scale (a homogeneous f vanishes at c v
+        exactly where it vanishes at v), and h and f(v) mod h are taken mod
+        p = `CHECK_PRIME`, which must not divide lc(g): if f(v) vanished at
+        every root of g, g would divide f(v)^n with a quotient integral at
+        p, so every root of g mod p would be one of f(v) mod p, and h,
+        squarefree, would divide f(v) mod p.  None when d = 1 (c = (a) may
+        be 0), g = 0, p divides lc(g), h is constant or v = 0 mod h.
         """
         n, d, p = self.nvars, self.dim, self.field.characteristic
         if d < 2:
             return None
-        first, *rest = self.coeff_matrices
-        pencil = [[(sum(r * b.entries[i][k] for r, b in enumerate(rest, 1)),
-                    first.entries[i][k]) for k in range(n)] for i in range(n)]
-        scale = 1 if p else lcm(*(c.denominator for row in pencil
-                                   for pair in row for c in pair))
+        first, *rest = self._integer_coefficients
+
+        def entry(i, k):
+            pair = [sum(r * b[i][k] for r, b in enumerate(rest, 1)), first[i][k]]
+            return upoly_trim([c % p for c in pair] if p else pair)
+
         kernel = _det_and_adjugate_sum(
-            [[upoly_trim([int(c * scale) % p if p else int(c * scale)
-                          for c in pair]) for pair in row] for row in pencil], p)
+            [[entry(i, k) for k in range(n)] for i in range(n)], p)
         q = p or CHECK_PRIME
         if kernel is None or kernel[0][-1] % q == 0:
             return None
@@ -504,6 +530,61 @@ def spans_all_monomials(ideal: Ideal, s: int) -> bool:
     return len(_rref(rows, field)) == count
 
 
+def is_m_primary(ideal: Ideal) -> bool:
+    """Whether the ideal, of forms, holds a power m^K of m = (y_1, ...,
+    y_n), proved by a basis over F_p; False may mean either answer.
+
+    A basis of a homogeneous ideal J whose leading monomials include a
+    power y_i^(e_i) of every variable proves that J contains m^K for
+    K = sum (e_i - 1) + 1: every monomial of degree K is a multiple of
+    one of those powers, so it leads an element of J, and J and its
+    leading ideal have equally many independent forms of degree K.
+
+    Over F_p this is the ideal's own basis, the one its membership tests
+    use.  Over Q it is the basis mod p = `CHECK_PRIME` of the generators
+    cleared of denominators, h_i = c_i g_i with int coefficients.  If
+    their residues generate an ideal that contains m^K, the Macaulay
+    matrix of the h_i in degree K (rows the products of each h_i with the
+    monomials of degree K - deg h_i, columns the monomials of degree K)
+    has full column rank mod p, so some maximal minor is nonzero mod p,
+    hence nonzero over Q: over Q too every form of degree K lies in the
+    ideal.  Either way a form f of positive degree then has f^K in m^K,
+    inside the ideal, so f lies in its radical.
+    """
+    n = ideal.nvars
+    if not ideal.field.characteristic:
+        ideal = Ideal([Polynomial.from_cleared(n, _CHECK_FIELD, 1,
+                                               g.cleared()[1])
+                       for g in set(ideal.generators)], n, _CHECK_FIELD)
+    powers = set()
+    for g in ideal.groebner().polys:
+        support = [i for i, e in enumerate(g.leading_monomial()) if e]
+        if len(support) == 1:
+            powers.add(support[0])
+    return len(powers) == n
+
+
+def low_stratum_holds(subspace: LinearSubspace, s: int, ideal: Ideal) -> bool:
+    """Whether a stratum s < d is proved to hold with no basis over Q:
+    every target minor, a form of degree s, lies in the radical of the
+    stratum's ``ideal`` of s-minors.  False proves nothing.
+
+    Either the s-minors span every monomial of degree s
+    (`spans_all_monomials`), or the ideal is m-primary (`is_m_primary`).
+    Two guards skip the second test where it cannot succeed, cheapest
+    first; a guard only skips, so it cannot change a verdict.  The
+    codimension of I_s is at most (n - s + 1)(d - s + 1) (Eagon and
+    Northcott), and an m-primary ideal has codimension n.  And a
+    coordinate vector e_j with rank B(e_j) < s is a nonzero point of
+    V(I_s); `LinearSubspace.least_unit_rank` finds the least such rank
+    once per subspace (mod p over Q, where it may read low).
+    """
+    n, d = subspace.nvars, subspace.dim
+    return s < d and (spans_all_monomials(ideal, s) or (
+        (n - s + 1) * (d - s + 1) >= n and subspace.least_unit_rank >= s
+        and is_m_primary(ideal)))
+
+
 def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
     """Ranks of the basis matrix and of the augmented matrix at ``point``,
     from one elimination: pivots come left to right, so the basis rank is
@@ -544,13 +625,17 @@ def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     those minors must vanish identically).  The first failing minor in the
     fixed enumeration order is reported.
 
-    Two shortcuts leave every verdict as it is.  A stratum s < d whose basis
-    minors span all monomials of degree s holds with no basis
-    (`spans_all_monomials`): every target minor is a form of degree s.  At
-    s = d a minor that misses the fast paths of `radical_membership` is
-    refuted at `LinearSubspace.pencil_point` when it is nonzero there,
-    before any Rabinowitsch basis.  Every minor is still built, holding
-    strata included, one `det()` each.
+    Each shortcut is a proof, so every verdict stays as it is.  A stratum
+    s < d that `low_stratum_holds` proves holds with no basis over Q: its
+    minors span every monomial of degree s, or it is m-primary mod p.  At
+    s = d the first nonzero target minor is tried at
+    `LinearSubspace.pencil_point` before the stratum's basis exists: a
+    minor nonzero there misses both fast paths of `radical_membership`
+    anyway.  If the point refutes it, the closure fails with no basis;
+    otherwise it builds the basis, and each later minor tries the fast
+    paths, then the point, then a Rabinowitsch basis.  A holding closure
+    so pays for the point and one evaluation.  Every minor is still built,
+    holding strata included, one `det()` each.
     """
     n, d = subspace.nvars, subspace.dim
     if d >= n:
@@ -559,13 +644,20 @@ def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     for s in range(1, d + 2):
         minor_ideal = stratum_ideal(subspace, s)
         minors = augmented.minors(s)
-        if s < d and spans_all_monomials(minor_ideal, s):
+        if low_stratum_holds(subspace, s, minor_ideal):
             continue
-        refuter = subspace.refutes_at_point if s == d else None
+        point_first = s == d
+        refuter = subspace.refutes_at_point if point_first else None
         for rows, cols, minor in minors:
-            if d not in cols:
-                continue  # only minors that involve the target column
-            if not radical_membership(minor, minor_ideal, refuter):
+            if d not in cols or not minor:
+                continue  # only nonzero minors that involve the target column
+            if point_first:
+                point_first = False  # this minor builds the basis if it holds
+                outside = (subspace.refutes_at_point(minor)
+                           or not radical_membership(minor, minor_ideal))
+            else:
+                outside = not radical_membership(minor, minor_ideal, refuter)
+            if outside:
                 return LocalDecision(
                     holds=False, method="closure_radical",
                     failure_witness=MinorFailure(s, rows, cols, minor))

@@ -32,7 +32,8 @@ from locspan.cli import (
     run_command,
     verify_report,
 )
-from locspan import groebner
+from locspan import MinorFailure, groebner
+from locspan.localmem import CHECK_PRIME
 from locspan.matspace import flat, perp
 
 from support import random_subspace, vandermonde_y1
@@ -644,6 +645,38 @@ def test_verify_refutes_a_stratum_d_minor_with_no_basis(capsys, monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", refuse)
     assert verify_report(report) == {"minor_matches": True,
                                      "minor_outside_radical": True}
+
+
+@pytest.mark.parametrize(
+    "n, d, s, bases",
+    [(6, 3, 2, []), (6, 5, 4, [PrimeField(CHECK_PRIME)])],
+    ids=["by-rank", "m-primary"])
+def test_verify_refutes_a_forged_low_stratum_failure_with_no_q_basis(
+        capsys, monkeypatch, n, d, s, bases):
+    # a genuine failing report of a random Q closure, its failure moved to
+    # the first target minor of a stratum below d that the closure proves:
+    # the (6,3) stratum 2 by rank, the (6,5) stratum 4 by one basis mod p,
+    # where the basis over Q took about 300 s
+    subspace = random_subspace(random.Random(1), n, d)
+    report = _report_for(capsys, monkeypatch,
+                         ["decide-local", "--method", "closure"],
+                         instance_from_subspace(subspace).canonical_text())
+    assert report["failure_witness"]["stratum"] == d
+    rows, cols, minor = next(
+        m for m in subspace.augmented_matrix().minors(s) if d in m[1] and m[2])
+    report["failure_witness"] = _failure_json(MinorFailure(s, rows, cols, minor))
+    fields = []
+    original = groebner.buchberger
+
+    def recording(generators):
+        generators = list(generators)
+        fields.append(generators[0].field)
+        return original(generators)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    assert verify_report(report) == {"minor_matches": True,
+                                     "minor_outside_radical": False}
+    assert fields == bases
 
 
 def test_verify_ties_the_stratum_to_the_minor(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""The closure's two shortcuts: the pencil point refutes stratum-d minors,
-and a stratum whose basis minors span every monomial of its degree holds by
-rank.  Neither may change a verdict, so the first failing minor stays the
-one that the plain closure (every stratum by its basis and
-`radical_membership`) reports."""
+"""The closure's shortcuts: the pencil point refutes stratum-d minors,
+before the stratum's basis for the first of them, and a stratum below d
+holds with no basis over Q when its basis minors span every monomial of
+its degree or when it is m-primary mod p.  None may change a verdict, so
+the first failing minor stays the one that the plain closure (every
+stratum by its basis and `radical_membership`) reports."""
 
 import hashlib
 import itertools
@@ -26,12 +27,18 @@ from locspan.exactalg import Polynomial, upoly_mul, upoly_sub
 from locspan.groebner import radical_membership
 from locspan.localmem import (
     CHECK_PRIME,
+    PencilPoint,
     _det_and_adjugate_sum,
+    is_m_primary,
     spans_all_monomials,
     stratum_ideal,
 )
 
-from support import random_subspace, subspace_containing_target, variables
+from support import (
+    random_subspace,
+    subspace_containing_target,
+    variables,
+)
 
 F5 = PrimeField(5)
 FP = PrimeField(CHECK_PRIME)
@@ -62,6 +69,21 @@ def closure_failure(subspace):
 def target_minors(subspace, s):
     return [minor for _, cols, minor in subspace.augmented_matrix().minors(s)
             if subspace.dim in cols]
+
+
+def record_bases(monkeypatch):
+    """The list, filled as `groebner.buchberger` runs, of the field of each
+    basis computed."""
+    fields = []
+    original = groebner.buchberger
+
+    def recording(generators):
+        generators = list(generators)
+        fields.append(generators[0].field)
+        return original(generators)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return fields
 
 
 def from_matrices(matrices, field):
@@ -275,17 +297,99 @@ def test_rank_shortcut_counts_and_denominators():
                                           y1 * y3, y2 * y3, y3 * y1]), 2)
 
 
+# -- strata m-primary mod p ----------------------------------------------------
+
+def _in_radical(ideal):
+    """The oracle: whether every variable lies in the radical of the ideal."""
+    return all(radical_membership(y, ideal)
+               for y in variables(ideal.nvars, ideal.field))
+
+
+def _hand_made(field):
+    """(generators, m-primary): forms in 3 and 4 variables, most of them too
+    few for the rank test to decide."""
+    y1, y2, y3 = variables(3, field)
+    z1, z2, z3, z4 = variables(4, field)
+    return [
+        ([y1 * y1, y2 * y2, y3 * y3], True),
+        ([(y1 * y1).scale(Fraction(1, CHECK_PRIME)), y2 * y2, y3 * y3], True),
+        ([y1 * y1, y1 * y2 + y3 * y3, y2 * y2 * y2], True),
+        ([y1 * y1, y2 * y2], False),  # the y3 axis
+        ([y1 * y2, y2 * y3, y1 * y3], False),  # the three axes
+        ([y1 * y1 - y2 * y3, y2 * y2 - y1 * y3, y3 * y3 - y1 * y2],
+         False),  # the point (1, 1, 1)
+        ([z1 * z1, z2 * z2, z3 * z3, z4 * z4 + z1 * z2], True),
+        ([z1 * z2, z3 * z4, z1 * z1 + z3 * z3, z2 * z2 + z4 * z4],
+         False),  # the point (0, 2, 0, 1) in F5, (0, i, 0, 1) over Q
+    ]
+
+
+def _random_form(rng, n, degree, field):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = [0] * n
+        for _ in range(degree):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = rng.randint(-3, 3)
+    return Polynomial(n, field, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_m_primary_test_agrees_with_radical_membership(field):
+    for generators, expected in _hand_made(field):
+        ideal = Ideal(generators)
+        assert is_m_primary(ideal) == expected == _in_radical(ideal), ideal
+    rng = random.Random(53)
+    outcomes = []
+    for _ in range(40):
+        n = rng.choice([3, 4])
+        ideal = Ideal([_random_form(rng, n, rng.randint(1, 2), field)
+                       for _ in range(rng.randint(n, n + 2))], n, field)
+        outcomes.append(is_m_primary(ideal))
+        if outcomes[-1]:
+            assert _in_radical(ideal), ideal
+    assert outcomes.count(True) >= 5 and outcomes.count(False) >= 5
+
+
+def test_family_closures_run_no_basis_mod_p(monkeypatch):
+    # the family's least unit rank is 1, so no stratum below d reaches the
+    # basis mod p
+    fields = record_bases(monkeypatch)
+    for n in range(5, 8):
+        subspace = local_only_example(n, n - 1)
+        assert subspace.least_unit_rank == 1
+        assert local_membership_closure(subspace).holds
+    assert set(fields) == {QQ}
+
+
+def test_holding_closures_evaluate_the_point_at_most_once(monkeypatch):
+    calls = []
+    original = PencilPoint.refutes
+
+    def counting(point, f):
+        calls.append(f)
+        return original(point, f)
+
+    monkeypatch.setattr(PencilPoint, "refutes", counting)
+    for subspace in (local_only_example(5, 4),
+                     subspace_containing_target(random.Random(1), 5, 3)):
+        calls.clear()
+        assert local_membership_closure(subspace).holds
+        assert len(calls) <= 1 < len(target_minors(subspace, subspace.dim))
+
+
 # -- pinned failures of random Q closures ------------------------------------------
 
 #: (n, d, seed) of ``random_subspace(random.Random(seed), n, d)`` and its
-#: first failing minor before either shortcut existed: stratum, rows, cols
-#: and the first 16 hex digits of the SHA-256 of the minor's text.
+#: first failing minor before any shortcut existed: stratum, rows, cols and
+#: the first 16 hex digits of the SHA-256 of the minor's text.
 PINNED_FAILURES = [
     ((6, 3, 1), (3, (0, 1, 2), (0, 1, 3), "3984866ccd61738e")),
     ((6, 3, 2), (3, (0, 1, 2), (0, 1, 3), "056af500f848e355")),
     ((6, 3, 3), (3, (0, 1, 2), (0, 1, 3), "31d63b3cf3a20fed")),
     ((6, 4, 1), (4, (0, 1, 2, 3), (0, 1, 2, 4), "7eb644e5e2958fec")),
     ((7, 3, 1), (3, (0, 1, 2), (0, 1, 3), "d5b4a53484084c04")),
+    ((6, 5, 1), (5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 5), "b7be53fe79c90b6b")),
 ]
 
 
@@ -294,18 +398,14 @@ PINNED_FAILURES = [
                               PINNED_FAILURES])
 def test_random_q_failure_is_pinned_and_needs_no_rabinowitsch(
         monkeypatch, case, expected):
+    """No Rabinowitsch basis runs, nor any other basis over Q: the point
+    refutes the first failing minor before the stratum-d basis, and each
+    stratum below d holds by rank or by one basis mod p (at (6,5), whose
+    stratum-4 basis over Q took about 300 s)."""
     n, d, seed = case
     subspace = random_subspace(random.Random(seed), n, d)
-    widths = []
-    original = groebner.buchberger
-
-    def recording(generators):
-        generators = list(generators)
-        widths.append(generators[0].nvars)
-        return original(generators)
-
-    monkeypatch.setattr(groebner, "buchberger", recording)
+    fields = record_bases(monkeypatch)
     s, rows, cols, minor = closure_failure(subspace)
     digest = hashlib.sha256(str(minor).encode()).hexdigest()[:16]
     assert (s, rows, cols, digest) == expected
-    assert n + 1 not in widths  # no Rabinowitsch basis ran
+    assert QQ not in fields
