@@ -14,6 +14,7 @@ from locspan import (
     PrimeField,
     ScalarMatrix,
     coordinate_vector,
+    groebner,
     has_free_rank,
     solve_over_field,
     span_over_field,
@@ -117,6 +118,21 @@ def vandermonde_y1(n, d, field=QQ):
     return LinearSubspace([y] + [tuple(y[0].scale(i ** (j - 1))
                                        for i in range(1, n + 1))
                                  for j in range(2, d + 1)])
+
+
+def record_bases(monkeypatch):
+    """The list, filled as `groebner.buchberger` runs, of the field of each
+    basis computed."""
+    fields = []
+    original = groebner.buchberger
+
+    def recording(generators):
+        generators = list(generators)
+        fields.append(generators[0].field)
+        return original(generators)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return fields
 
 
 def reference_contains(subspace: MatrixSubspace, matrix: ScalarMatrix) -> bool:

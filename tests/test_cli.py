@@ -9,6 +9,7 @@ import pytest
 
 from locspan import (
     QQ,
+    MinorFailure,
     PrimeField,
     fraction_span_only_example,
     local_membership_closure,
@@ -32,11 +33,11 @@ from locspan.cli import (
     run_command,
     verify_report,
 )
-from locspan import MinorFailure, groebner
+from locspan import groebner
 from locspan.localmem import CHECK_PRIME
 from locspan.matspace import flat, perp
 
-from support import random_subspace, vandermonde_y1
+from support import random_subspace, record_bases, vandermonde_y1
 
 GOLDEN_TEXT = """\
 # the standard n=4, d=3 instance
@@ -665,15 +666,7 @@ def test_verify_refutes_a_forged_low_stratum_failure_with_no_q_basis(
     rows, cols, minor = next(
         m for m in subspace.augmented_matrix().minors(s) if d in m[1] and m[2])
     report["failure_witness"] = _failure_json(MinorFailure(s, rows, cols, minor))
-    fields = []
-    original = groebner.buchberger
-
-    def recording(generators):
-        generators = list(generators)
-        fields.append(generators[0].field)
-        return original(generators)
-
-    monkeypatch.setattr(groebner, "buchberger", recording)
+    fields = record_bases(monkeypatch)
     assert verify_report(report) == {"minor_matches": True,
                                      "minor_outside_radical": False}
     assert fields == bases

@@ -22,7 +22,6 @@ from locspan import (
     local_only_example,
     unflat,
 )
-from locspan import groebner
 from locspan.exactalg import Polynomial, upoly_mul, upoly_sub
 from locspan.groebner import radical_membership
 from locspan.localmem import (
@@ -36,6 +35,7 @@ from locspan.localmem import (
 
 from support import (
     random_subspace,
+    record_bases,
     subspace_containing_target,
     variables,
 )
@@ -69,21 +69,6 @@ def closure_failure(subspace):
 def target_minors(subspace, s):
     return [minor for _, cols, minor in subspace.augmented_matrix().minors(s)
             if subspace.dim in cols]
-
-
-def record_bases(monkeypatch):
-    """The list, filled as `groebner.buchberger` runs, of the field of each
-    basis computed."""
-    fields = []
-    original = groebner.buchberger
-
-    def recording(generators):
-        generators = list(generators)
-        fields.append(generators[0].field)
-        return original(generators)
-
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    return fields
 
 
 def from_matrices(matrices, field):
