@@ -47,7 +47,6 @@ from .exactalg import (
     RationalFunction,
     format_polynomial,
 )
-from .groebner import radical_membership
 from .localmem import (
     BudgetExceededError,
     CramerWitness,
@@ -55,6 +54,7 @@ from .localmem import (
     LinearSubspace,
     MinorFailure,
     PointFailure,
+    Stratum,
     WitnessBoundsReport,
     _is_linear_form,
     combination,
@@ -64,12 +64,10 @@ from .localmem import (
     local_membership_closure,
     local_membership_points,
     local_only_example,
-    low_stratum_holds,
     pencil_coefficients,
     ranks_at,
     span_over_field,
     span_over_fractions,
-    stratum_ideal,
     verify_witness_bounds,
 )
 from .matspace import (
@@ -806,14 +804,7 @@ def _check_local_failure(subspace: LinearSubspace, failure, checks: dict):
         reported = _parse_poly(failure, "minor", subspace)
         actual = subspace.augmented_matrix().submatrix(rows, cols).det()
         checks["minor_matches"] = actual == reported
-        # the closure's proofs come first: at stratum d the pencil point
-        # refutes most minors, and a stratum below d may hold with no basis
-        if s == subspace.dim and subspace.refutes_at_point(actual):
-            checks["minor_outside_radical"] = True
-        else:
-            ideal = stratum_ideal(subspace, s)
-            checks["minor_outside_radical"] = not low_stratum_holds(
-                subspace, s, ideal) and not radical_membership(actual, ideal)
+        checks["minor_outside_radical"] = Stratum(subspace, s).outside(actual)
     else:
         point = _parse_vector(failure, "point", subspace.field)
         ranks = ranks_at(subspace, point)

@@ -8,11 +8,11 @@ fractions), and "locally": whether at every point of affine space over the
 algebraic closure the evaluated coordinate vector lies in the evaluated
 span.  The local decision is exact, via radical membership of augmented
 minors in the determinantal ideals of the basis matrix.  Proofs that need
-no basis over Q come first: a rank test or an m-primary test mod p settles
-low strata, and a point refutes failing minors of the top stratum, the
-first of them before that stratum's basis is built.  A finite-field
-point-enumeration variant serves as an independent check at rational
-points.
+no basis over Q come first, all in `Stratum`: a rank test or an m-primary
+test mod p settles low strata, and a point may refute the first target
+minor of the top stratum before that stratum's basis is built.  A
+finite-field point-enumeration variant serves as an independent check at
+rational points.
 """
 
 from __future__ import annotations
@@ -564,25 +564,51 @@ def is_m_primary(ideal: Ideal) -> bool:
     return len(powers) == n
 
 
-def low_stratum_holds(subspace: LinearSubspace, s: int, ideal: Ideal) -> bool:
-    """Whether a stratum s < d is proved to hold with no basis over Q:
-    every target minor, a form of degree s, lies in the radical of the
-    stratum's ``ideal`` of s-minors.  False proves nothing.
+class Stratum:
+    """Stratum ``s`` of the local condition on ``subspace``: every s x s
+    target minor must lie in the radical of ``ideal``, that of the s-minors
+    of the basis matrix.  The one home of the stratum's proofs, which the
+    closure and `verify` share.
 
-    Either the s-minors span every monomial of degree s
-    (`spans_all_monomials`), or the ideal is m-primary (`is_m_primary`).
-    Two guards skip the second test where it cannot succeed, cheapest
-    first; a guard only skips, so it cannot change a verdict.  The
-    codimension of I_s is at most (n - s + 1)(d - s + 1) (Eagon and
-    Northcott), and an m-primary ideal has codimension n.  And a
-    coordinate vector e_j with rank B(e_j) < s is a nonzero point of
+    ``holds`` says whether a stratum s < d is proved with no basis over Q;
+    False proves nothing.  Either the s-minors span every monomial of
+    degree s (`spans_all_monomials`), or the ideal is m-primary
+    (`is_m_primary`).  Two guards skip the second test where it cannot
+    succeed, cheapest first; a guard only skips, so it cannot change a
+    verdict.  The codimension of I_s is at most (n - s + 1)(d - s + 1)
+    (Eagon and Northcott), and an m-primary ideal has codimension n.  And
+    a coordinate vector e_j with rank B(e_j) < s is a nonzero point of
     V(I_s); `LinearSubspace.least_unit_rank` finds the least such rank
     once per subspace (mod p over Q, where it may read low).
     """
-    n, d = subspace.nvars, subspace.dim
-    return s < d and (spans_all_monomials(ideal, s) or (
-        (n - s + 1) * (d - s + 1) >= n and subspace.least_unit_rank >= s
-        and is_m_primary(ideal)))
+
+    def __init__(self, subspace: LinearSubspace, s: int):
+        n, d = subspace.nvars, subspace.dim
+        self.subspace, self.s = subspace, s
+        self.holds = s < d and (spans_all_monomials(self.ideal, s) or (
+            (n - s + 1) * (d - s + 1) >= n and subspace.least_unit_rank >= s
+            and is_m_primary(self.ideal)))
+        self._point_untried = s == d
+
+    @cached_property
+    def ideal(self) -> Ideal:
+        """`stratum_ideal`, built on first use: at s = d only once the
+        point has failed to refute a minor."""
+        return stratum_ideal(self.subspace, self.s)
+
+    def outside(self, f: Polynomial) -> bool:
+        """Whether the target minor ``f`` lies outside the radical of
+        ``ideal``.  At s = d the first nonzero minor asked about is tried at
+        `LinearSubspace.pencil_point` before the stratum's basis exists: a
+        minor nonzero there misses both fast paths of `radical_membership`
+        anyway.  Every other minor goes to `radical_membership` alone."""
+        if self.holds or f.is_zero():
+            return False
+        if self._point_untried:
+            self._point_untried = False  # f builds the basis if it holds
+            if self.subspace.refutes_at_point(f):
+                return True
+        return not radical_membership(f, self.ideal)
 
 
 def ranks_at(subspace: LinearSubspace, point: Sequence) -> tuple:
@@ -625,39 +651,24 @@ def local_membership_closure(subspace: LinearSubspace) -> LocalDecision:
     those minors must vanish identically).  The first failing minor in the
     fixed enumeration order is reported.
 
-    Each shortcut is a proof, so every verdict stays as it is.  A stratum
-    s < d that `low_stratum_holds` proves holds with no basis over Q: its
-    minors span every monomial of degree s, or it is m-primary mod p.  At
-    s = d the first nonzero target minor is tried at
-    `LinearSubspace.pencil_point` before the stratum's basis exists: a
-    minor nonzero there misses both fast paths of `radical_membership`
-    anyway.  If the point refutes it, the closure fails with no basis;
-    otherwise it builds the basis, and each later minor tries the fast
-    paths, then the point, then a Rabinowitsch basis.  A holding closure
-    so pays for the point and one evaluation.  Every minor is still built,
-    holding strata included, one `det()` each.
+    Each shortcut is a proof, so every verdict stays as it is; `Stratum`
+    holds them all.  A stratum s < d that `Stratum.holds` proves holds with
+    no basis over Q: its minors span every monomial of degree s, or it is
+    m-primary mod p.  At s = d the first nonzero target minor is tried at
+    the pencil point before the stratum's basis exists; if the point
+    refutes it, the closure fails with no basis, and otherwise that minor
+    builds the basis and every later one takes `radical_membership` alone.
+    A holding closure so pays for the point and one evaluation.  Every
+    minor is still built, holding strata included, one `det()` each.
     """
     n, d = subspace.nvars, subspace.dim
     if d >= n:
         raise ValueError("local membership decision requires dim < n")
     augmented = subspace.augmented_matrix()
     for s in range(1, d + 2):
-        minor_ideal = stratum_ideal(subspace, s)
-        minors = augmented.minors(s)
-        if low_stratum_holds(subspace, s, minor_ideal):
-            continue
-        point_first = s == d
-        refuter = subspace.refutes_at_point if point_first else None
-        for rows, cols, minor in minors:
-            if d not in cols or not minor:
-                continue  # only nonzero minors that involve the target column
-            if point_first:
-                point_first = False  # this minor builds the basis if it holds
-                outside = (subspace.refutes_at_point(minor)
-                           or not radical_membership(minor, minor_ideal))
-            else:
-                outside = not radical_membership(minor, minor_ideal, refuter)
-            if outside:
+        stratum = Stratum(subspace, s)
+        for rows, cols, minor in augmented.minors(s):
+            if d in cols and stratum.outside(minor):
                 return LocalDecision(
                     holds=False, method="closure_radical",
                     failure_witness=MinorFailure(s, rows, cols, minor))

@@ -1,5 +1,6 @@
 """Instance parsing, report schema, subcommand behaviour, verify loop."""
 
+import itertools
 import json
 import random
 import re
@@ -34,10 +35,16 @@ from locspan.cli import (
     verify_report,
 )
 from locspan import groebner
-from locspan.localmem import CHECK_PRIME
+from locspan.groebner import radical_membership
+from locspan.localmem import CHECK_PRIME, stratum_ideal
 from locspan.matspace import flat, perp
 
-from support import random_subspace, record_bases, vandermonde_y1
+from support import (
+    random_subspace,
+    record_bases,
+    subspace_containing_target,
+    vandermonde_y1,
+)
 
 GOLDEN_TEXT = """\
 # the standard n=4, d=3 instance
@@ -701,6 +708,37 @@ def test_verify_tests_the_recomputed_minor_not_the_reported_one():
                   "minor": "(y1 + 2*y2 + 3*y3 + 5*y4 + 7*y5)^8 + y2^8"}}
     assert verify_report(forged) == {"minor_matches": False,
                                      "minor_outside_radical": False}
+
+
+def test_verify_agrees_with_radical_membership_on_every_minor():
+    # every nonzero target minor of every stratum, forged into a failing
+    # report: verify's shortcuts must reach the oracle's verdict on each
+    instances = []
+    for field in (QQ, PrimeField(5)):
+        instances.append(local_only_example(4, 3, field))
+        for make, (n, d), seed in itertools.product(
+                (random_subspace, subspace_containing_target),
+                ((4, 2), (4, 3)), (1, 2)):
+            instances.append(make(random.Random(seed), n, d, field))
+    checked = outside = 0
+    for subspace in instances:
+        text = instance_from_subspace(subspace).canonical_text()
+        d = subspace.dim
+        for s in range(1, d + 2):
+            ideal = stratum_ideal(subspace, s)
+            for rows, cols, minor in subspace.augmented_matrix().minors(s):
+                if d not in cols or not minor:
+                    continue
+                expected = not radical_membership(minor, ideal)
+                report = {"command": "decide-local", "instance": text,
+                          "outcome": False, "failure_witness": _failure_json(
+                              MinorFailure(s, rows, cols, minor))}
+                assert verify_report(report) == {
+                    "minor_matches": True,
+                    "minor_outside_radical": expected}, (subspace, s, rows, cols)
+                checked += 1
+                outside += expected
+    assert len(instances) == 18 and 0 < outside < checked
 
 
 def test_verify_of_a_cramer_witness_skips_the_bounds_it_does_not_report(

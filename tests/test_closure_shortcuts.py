@@ -390,7 +390,12 @@ def test_random_q_failure_is_pinned_and_needs_no_rabinowitsch(
     n, d, seed = case
     subspace = random_subspace(random.Random(seed), n, d)
     fields = record_bases(monkeypatch)
+    evaluations = []
+    original = PencilPoint.refutes
+    monkeypatch.setattr(PencilPoint, "refutes", lambda point, f: (
+        evaluations.append(f) or original(point, f)))
     s, rows, cols, minor = closure_failure(subspace)
     digest = hashlib.sha256(str(minor).encode()).hexdigest()[:16]
     assert (s, rows, cols, digest) == expected
     assert QQ not in fields
+    assert evaluations == [minor]  # the point is tried once, and first
